@@ -84,19 +84,13 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
     BatchSimulator sim(compiled);
     const std::size_t words = sim.blockWords();
     const std::size_t blockLanes = sim.blockLanes();
+    const std::size_t bits = std::min<std::size_t>(compiled.outputCount(), 16);
+    const circuit::kernels::Decode16Fn decode = compiled.backend().at(words).decode16;
     std::vector<Word> in(16 * words), out(compiled.outputCount() * words);
     for (std::uint64_t base = 0; base < (1u << 16); base += blockLanes) {
         circuit::fillExhaustiveBlock(in, 16, base, words);
         sim.evaluate(in, out);
-        for (std::size_t lane = 0; lane < blockLanes; ++lane) {
-            std::uint32_t value = 0;
-            for (std::size_t bit = 0; bit < out.size() / words && bit < 16; ++bit)
-                value |= static_cast<std::uint32_t>((out[bit * words + lane / 64] >>
-                                                     (lane % 64)) &
-                                                    1u)
-                         << bit;
-            table[base + lane] = static_cast<std::uint16_t>(value);
-        }
+        decode(out.data(), bits, table.data() + base);
     }
     if (cache != nullptr) {
         std::vector<std::uint8_t> bytes(2 * table.size());

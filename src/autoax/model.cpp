@@ -1,8 +1,8 @@
 #include "src/autoax/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "src/img/ssim.hpp"
@@ -12,9 +12,7 @@ namespace axf::autoax {
 
 using circuit::BatchSimulator;
 using circuit::CompiledNetlist;
-using circuit::Simulator;
 using Word = CompiledNetlist::Word;
-
 
 std::vector<Component> componentsFromFlow(const core::FlowResult& result,
                                           core::FpgaParam param, std::size_t maxComponents) {
@@ -124,85 +122,41 @@ double AcceleratorModel::quality(const AcceleratorConfig& config,
     return acc / static_cast<double>(scenes.size());
 }
 
-void batchAdd16(Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out,
-                BatchAddScratch& scratch) {
-    if (a.size() > 64 || b.size() != a.size() || out.size() != a.size())
-        throw std::invalid_argument(
-            "batchAdd16: operand/result spans must agree and hold at most 64 lanes");
-    scratch.in.assign(32, 0);
-    for (std::size_t lane = 0; lane < a.size(); ++lane) {
-        for (int bit = 0; bit < 16; ++bit) {
-            if ((a[lane] >> bit) & 1u) scratch.in[static_cast<std::size_t>(bit)] |= std::uint64_t{1} << lane;
-            if ((b[lane] >> bit) & 1u)
-                scratch.in[static_cast<std::size_t>(16 + bit)] |= std::uint64_t{1} << lane;
-        }
-    }
-    scratch.out.resize(sim.netlist().outputCount());
-    sim.evaluate(scratch.in, scratch.out);
-    for (std::size_t lane = 0; lane < a.size(); ++lane) {
-        std::uint32_t v = 0;
-        for (std::size_t bit = 0; bit < scratch.out.size(); ++bit)
-            v |= static_cast<std::uint32_t>((scratch.out[bit] >> lane) & 1u) << bit;
-        out[lane] = v;
-    }
-}
-
-void batchAdd16(Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out) {
-    BatchAddScratch scratch;
-    batchAdd16(sim, a, b, out, scratch);
-}
-
 void batchAdd16Wide(BatchSimulator& sim, const std::uint32_t* a, const std::uint32_t* b,
                     std::uint32_t* out, std::size_t lanes, std::span<Word> inWords,
                     std::span<Word> outWords) {
+    const CompiledNetlist& compiled = sim.compiled();
+    if (compiled.inputCount() != 32 || compiled.outputCount() > 32)
+        throw std::invalid_argument(
+            "batchAdd16Wide: the program needs 32 inputs and at most 32 outputs");
     // Loop over the simulator's own block width: callers may tile their
     // lane arrays at any granularity (typically kMaxLanesPerBlock), and
     // each bound program carries its own chosen width.  Pure integer
     // bit-sliced evaluation — results are independent of the tiling.
     const std::size_t words = sim.blockWords();
     const std::size_t blockLanes = sim.blockLanes();
-    const std::size_t outputs = sim.compiled().outputCount();
+    const std::size_t outputs = compiled.outputCount();
+    const circuit::kernels::WidthTables& codec = compiled.backend().at(words);
+    // A partial last block runs through zero-padded staging copies, since
+    // the codecs always cover a whole block of lanes.
+    std::array<std::uint32_t, BatchSimulator::kMaxLanesPerBlock> tailA, tailB, tailOut;
     for (std::size_t blockBase = 0; blockBase < lanes; blockBase += blockLanes) {
         const std::size_t blockCount = std::min(blockLanes, lanes - blockBase);
-        std::memset(inWords.data(), 0, 32 * words * sizeof(Word));
-        for (std::size_t lane = 0; lane < blockCount; ++lane) {
-            const Word laneBit = Word{1} << (lane % 64);
-            const std::size_t w = lane / 64;
-            // Operands truncate to the adder's 16-bit interface.  Inputs can
-            // carry 17-bit values (a previous level's carry-out); without the
-            // mask, bit 16 of `a` would alias operand B's LSB and bit 16 of
-            // `b` would index past the input block.
-            std::uint32_t va = a[blockBase + lane] & 0xFFFFu;
-            while (va != 0) {
-                const int bit = __builtin_ctz(va);
-                inWords[static_cast<std::size_t>(bit) * words + w] |= laneBit;
-                va &= va - 1;
-            }
-            std::uint32_t vb = b[blockBase + lane] & 0xFFFFu;
-            while (vb != 0) {
-                const int bit = __builtin_ctz(vb);
-                inWords[static_cast<std::size_t>(16 + bit) * words + w] |= laneBit;
-                vb &= vb - 1;
-            }
+        const std::uint32_t* blockA = a + blockBase;
+        const std::uint32_t* blockB = b + blockBase;
+        std::uint32_t* blockOut = out + blockBase;
+        if (blockCount < blockLanes) {
+            std::fill(std::copy_n(blockA, blockCount, tailA.begin()), tailA.end(), 0u);
+            std::fill(std::copy_n(blockB, blockCount, tailB.begin()), tailB.end(), 0u);
+            blockA = tailA.data();
+            blockB = tailB.data();
+            blockOut = tailOut.data();
         }
+        codec.encode16(blockA, inWords.data());
+        codec.encode16(blockB, inWords.data() + 16 * words);
         sim.evaluate(inWords.subspan(0, 32 * words), outWords.subspan(0, outputs * words));
-        std::uint32_t* const outBlock = out + blockBase;
-        std::memset(outBlock, 0, blockCount * sizeof(std::uint32_t));
-        for (std::size_t bit = 0; bit < outputs; ++bit) {
-            const std::uint32_t weight = std::uint32_t{1} << bit;
-            for (std::size_t w = 0; w * 64 < blockCount; ++w) {
-                Word word = outWords[bit * words + w];
-                const std::size_t laneBase = w * 64;
-                while (word != 0) {
-                    const int lane = __builtin_ctzll(word);
-                    const std::size_t idx = laneBase + static_cast<std::size_t>(lane);
-                    if (idx < blockCount) outBlock[idx] |= weight;
-                    word &= word - 1;
-                }
-            }
-        }
+        codec.decode32(outWords.data(), outputs, blockOut);
+        if (blockCount < blockLanes) std::copy_n(tailOut.begin(), blockCount, out + blockBase);
     }
 }
 

@@ -9,7 +9,6 @@
 #include "src/circuit/arith.hpp"
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/netlist.hpp"
-#include "src/circuit/simulator.hpp"
 #include "src/core/dataset.hpp"
 #include "src/core/flow.hpp"
 #include "src/error/error_metrics.hpp"
@@ -142,34 +141,20 @@ public:
     double designSpaceSize() const { return configSpace().designSpaceSize(); }
 };
 
-/// Caller-owned scratch for `batchAdd16`: holding it across calls removes
-/// every per-call heap allocation from the hot loop.
-struct BatchAddScratch {
-    std::vector<std::uint64_t> in;
-    std::vector<std::uint64_t> out;
-};
-
-/// Applies a 16-bit adder netlist (via its simulator) to up to 64 operand
-/// pairs bit-parallel.  Shared by the accelerator behavioural models and
-/// reusable for custom accelerators.
-void batchAdd16(circuit::Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out,
-                BatchAddScratch& scratch);
-
-/// Convenience overload with call-local scratch (allocates; prefer the
-/// scratch variant in loops).
-void batchAdd16(circuit::Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out);
-
-/// Wide batchAdd16: any number of operand pairs on the compiled engine,
-/// swept internally in blocks of the simulator's own `blockLanes()` (256 /
-/// 512 / 1024 following the bound program's chosen width).  `inWords` /
+/// Applies a 16-bit adder program to `lanes` operand pairs bit-parallel:
+/// the shared datapath step of the accelerator behavioural models, reusable
+/// for custom accelerators.  Sweeps in blocks of the simulator's own
+/// `blockLanes()` (256 / 512 / 1024 following the bound program's chosen
+/// width), packing and unpacking lanes through the program's backend
+/// codecs (`kernels::WidthTables::encode16` / `decode32`).  `inWords` /
 /// `outWords` are caller-owned blocks of at least 32 * blockWords() and
 /// outputCount * blockWords() words — size them with
 /// `BatchSimulator::kMaxWordsPerBlock` so rebinding to a wider program
 /// stays in bounds; nothing allocates.  Operands truncate to the adder's
 /// 16-bit interface (inputs may carry a previous level's carry-out in
-/// bit 16).
+/// bit 16).  Reads and writes exactly `lanes` entries of each array.
+/// Throws std::invalid_argument unless the program has 32 inputs and at
+/// most 32 outputs.
 void batchAdd16Wide(circuit::BatchSimulator& sim, const std::uint32_t* a,
                     const std::uint32_t* b, std::uint32_t* out, std::size_t lanes,
                     std::span<circuit::CompiledNetlist::Word> inWords,

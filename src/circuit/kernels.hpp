@@ -13,7 +13,7 @@ using Word = std::uint64_t;
 
 /// The compile-time width set: words per slot of the wide configurations.
 /// Every backend instantiates its full kernel family (generic, unrolled,
-/// chained, decoders) once per width; `CompiledNetlist` picks one width per
+/// chained, lane codecs) once per width; `CompiledNetlist` picks one width per
 /// netlist at compile time (footprint heuristic / AXF_FORCE_WIDTH /
 /// ScopedWidthOverride) and can still be run at any of them.  Width is
 /// purely an execution-shape knob: results are bit-identical across the
@@ -153,9 +153,16 @@ struct Instr {
 /// (the latency killer of ripple-carry-style serial chains).
 using KernelFn = void (*)(const Instr* instrs, std::uint32_t count, Word* ws);
 
-/// Decodes `bits` output bit-planes of a wide block (W words per plane,
-/// plane-major, where W is the width of the `WidthTables` the function
-/// lives in) into one integer per lane (W * 64 lanes).
+/// Lane codecs: the one owner of the lane <-> bit-plane layout.  A wide
+/// block carries each bit as a plane of W words (plane-major, where W is
+/// the width of the `WidthTables` the function lives in), lane L in bit
+/// L % 64 of word L / 64.
+///
+/// `Encode16Fn` packs one value per lane (W * 64 lanes) into the 16 planes
+/// of bits 0..15; higher value bits are ignored.  `Decode16Fn` /
+/// `Decode32Fn` unpack `bits` planes (at most 16 / 32) into one integer
+/// per lane.
+using Encode16Fn = void (*)(const std::uint32_t* values, Word* planes);
 using Decode16Fn = void (*)(const Word* planes, std::size_t bits, std::uint16_t* out);
 using Decode32Fn = void (*)(const Word* planes, std::size_t bits, std::uint32_t* out);
 
@@ -185,11 +192,12 @@ constexpr bool tableComplete(
 /// Complete kernel family of one backend at one block width W: the generic
 /// per-run kernels, the fully unrolled straight-line variants for runs of
 /// 1..kMaxUnroll instructions (indexed [op][count - 1]; nullptr falls back
-/// to `run`), the register-chained variants, and the bit-plane decoders.
+/// to `run`), the register-chained variants, and the lane codecs.
 struct WidthTables {
     std::array<KernelFn, kOpCount> run;
     std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> unrolled;
     std::array<KernelFn, kOpCount> chained;
+    Encode16Fn encode16;
     Decode16Fn decode16;
     Decode32Fn decode32;
 };
@@ -215,7 +223,7 @@ struct Backend {
 constexpr bool tablesComplete(const std::array<WidthTables, kWidthCount>& wide) {
     for (const WidthTables& t : wide)
         if (!tableComplete(t.run) || !tableComplete(t.unrolled) || !tableComplete(t.chained) ||
-            t.decode16 == nullptr || t.decode32 == nullptr)
+            t.encode16 == nullptr || t.decode16 == nullptr || t.decode32 == nullptr)
             return false;
     return true;
 }

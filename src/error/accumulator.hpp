@@ -12,8 +12,8 @@
 #include "src/error/error_metrics.hpp"
 
 /// Shared internals of the error-metric evaluation loops: the deterministic
-/// kSlots-wide metric accumulator, the output-plane decoders and the golden
-/// exact-value fill.  Used by `analyzeError` (src/error/error_metrics.cpp)
+/// kSlots-wide metric accumulator, the plane decoders and the golden
+/// exact-value fills.  Used by `analyzeError` (src/error/error_metrics.cpp)
 /// and the fault-injection campaign engine (src/fault), which must
 /// accumulate with the exact same per-slot IEEE operation order so its
 /// reports are reproducible bit-for-bit.  Not a public API.
@@ -151,9 +151,9 @@ inline void decodeOutputsU16(const Word* out, std::size_t outputs, std::uint16_t
     circuit::kernels::selectedBackend().at(blockWords).decode16(out, outputs, approx);
 }
 
-/// Decodes output bit-planes (`outputs` planes of `blockWords` words) into
-/// one 32-bit value per lane (outputs <= 32); runtime-dispatched like the
-/// 16-bit variant.
+/// Decodes bit-planes (`outputs` planes of `blockWords` words; output or
+/// operand planes alike) into one 32-bit value per lane (outputs <= 32);
+/// runtime-dispatched like the 16-bit variant.
 inline void decodeOutputsU32(const Word* out, std::size_t outputs, std::uint32_t* approx,
                              std::size_t blockWords) {
     circuit::kernels::selectedBackend().at(blockWords).decode32(out, outputs, approx);
@@ -183,6 +183,8 @@ struct Workspace {
     alignas(64) std::array<std::uint32_t, kMaxLanes> approx32{};
     alignas(64) std::array<std::uint64_t, kMaxLanes> approx64{};
     alignas(64) std::array<std::uint64_t, kMaxLanes> exact{};
+    alignas(64) std::array<std::uint32_t, kMaxLanes> operandA{};
+    alignas(64) std::array<std::uint32_t, kMaxLanes> operandB{};
 };
 
 /// Decodes a `blockWords`-wide output block and accumulates error against
@@ -240,6 +242,28 @@ inline void fillExactExhaustive(Workspace& ws, const circuit::ArithSignature& si
             const std::uint64_t x = base + lane;
             ws.exact[lane] = (x & maskA) * (x >> shift);
         }
+    }
+}
+
+/// Fills `ws.exact[0..lanes)` with the golden results of the operand pairs
+/// a sampled input block `ws.in` carries: operand A in planes [0, widthA),
+/// operand B in the widthB planes after it (both at most 32 bits wide, as
+/// the analyzers' interface checks enforce), unpacked through the
+/// runtime-dispatched plane decoder.
+inline void fillExactSampled(Workspace& ws, const circuit::ArithSignature& sig,
+                             std::size_t lanes, std::size_t blockWords) {
+    const auto widthA = static_cast<std::size_t>(sig.widthA);
+    std::uint32_t* a = ws.operandA.data();
+    std::uint32_t* b = ws.operandB.data();
+    decodeOutputsU32(ws.in.data(), widthA, a, blockWords);
+    decodeOutputsU32(ws.in.data() + widthA * blockWords, static_cast<std::size_t>(sig.widthB), b,
+                     blockWords);
+    if (sig.op == circuit::ArithOp::Adder) {
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            ws.exact[lane] = static_cast<std::uint64_t>(a[lane]) + b[lane];
+    } else {
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            ws.exact[lane] = static_cast<std::uint64_t>(a[lane]) * b[lane];
     }
 }
 

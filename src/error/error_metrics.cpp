@@ -78,7 +78,6 @@ Accumulator sampledChunk(const CompiledNetlist& compiled, const circuit::ArithSi
     ws.out.resize(compiled.outputCount() * words);
 
     util::Rng rng(chunkSeed);
-    std::array<std::uint64_t, kMaxLanes> as{}, bs{};
     Accumulator acc;
     std::uint64_t remaining = count;
     while (remaining > 0) {
@@ -95,27 +94,7 @@ Accumulator sampledChunk(const CompiledNetlist& compiled, const circuit::ArithSi
                 for (std::size_t w = 0; w < kSubWords; ++w)
                     ws.in[bit * words + sub + w] = rng.uniformInt(0, ~std::uint64_t{0});
         sim.evaluate(ws.in, ws.out);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            std::uint64_t a = 0, b = 0;
-            for (int bit = 0; bit < sig.widthA; ++bit)
-                a |= ((ws.in[static_cast<std::size_t>(bit) * words + lane / 64] >> (lane % 64)) &
-                      1u)
-                     << bit;
-            for (int bit = 0; bit < sig.widthB; ++bit)
-                b |= ((ws.in[static_cast<std::size_t>(sig.widthA + bit) * words + lane / 64] >>
-                       (lane % 64)) &
-                      1u)
-                     << bit;
-            as[lane] = a;
-            bs[lane] = b;
-        }
-        if (sig.op == circuit::ArithOp::Adder) {
-            for (std::size_t lane = 0; lane < lanes; ++lane)
-                ws.exact[lane] = as[lane] + bs[lane];
-        } else {
-            for (std::size_t lane = 0; lane < lanes; ++lane)
-                ws.exact[lane] = as[lane] * bs[lane];
-        }
+        fillExactSampled(ws, sig, lanes, words);
         consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws, words);
         remaining -= lanes;
     }
@@ -123,6 +102,8 @@ Accumulator sampledChunk(const CompiledNetlist& compiled, const circuit::ArithSi
 }
 
 void checkInterface(const circuit::Netlist& netlist, const circuit::ArithSignature& sig) {
+    if (sig.widthA > 32 || sig.widthB > 32)
+        throw std::invalid_argument("analyzeError: operands wider than 32 bits");
     if (static_cast<int>(netlist.inputCount()) != sig.inputWidth())
         throw std::invalid_argument("analyzeError: netlist input width != signature");
     if (static_cast<int>(netlist.outputCount()) != sig.outputWidth())

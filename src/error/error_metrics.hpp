@@ -81,7 +81,8 @@ struct ErrorAnalysisConfig {
 /// Computes the error profile of `netlist` implementing `sig`.
 ///
 /// The netlist interface must be LSB-first operand A bits, then operand B
-/// bits; outputs LSB-first.  Throws std::invalid_argument on arity mismatch.
+/// bits; outputs LSB-first.  Throws std::invalid_argument on arity mismatch
+/// or an operand wider than 32 bits.
 ///
 /// Runs on the compiled multi-word engine (`BatchSimulator`, 256/512/1024
 /// lanes per sweep following the program's chosen block width),

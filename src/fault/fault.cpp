@@ -27,6 +27,7 @@ using circuit::kernels::opFanIn;
 using error::detail::Accumulator;
 using error::detail::Workspace;
 using error::detail::fillExactExhaustive;
+using error::detail::fillExactSampled;
 using error::detail::mixSeed;
 using Word = CompiledNetlist::Word;
 
@@ -338,15 +339,8 @@ void runSampledTask(const CompiledNetlist& compiled, const circuit::ArithSignatu
             for (std::size_t wd = 0; wd < words; ++wd) bitWords[wd] = r;  // replicate per group
         }
         runBlockWithFaults(compiled, words, w.in.data(), w.out.data(), scratch.ws, faults);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            std::uint64_t a = 0, b = 0;
-            for (int bit = 0; bit < sig.widthA; ++bit)
-                a |= ((w.in[static_cast<std::size_t>(bit) * words] >> lane) & 1u) << bit;
-            for (int bit = 0; bit < sig.widthB; ++bit)
-                b |= ((w.in[static_cast<std::size_t>(sig.widthA + bit) * words] >> lane) & 1u)
-                     << bit;
-            w.exact[lane] = sig.exact(a, b);
-        }
+        // Every lane group carries the same operands; group 0's lanes lead.
+        fillExactSampled(w, sig, lanes, words);
         withDecoded(w.out, outputs, w, words, [&](const auto* approx) {
             if (nominalOut != nullptr) {
                 Accumulator partial;
@@ -369,6 +363,8 @@ void runSampledTask(const CompiledNetlist& compiled, const circuit::ArithSignatu
 }
 
 void checkInterface(const Netlist& netlist, const circuit::ArithSignature& sig) {
+    if (sig.widthA > 32 || sig.widthB > 32)
+        throw std::invalid_argument("analyzeResilience: operands wider than 32 bits");
     if (static_cast<int>(netlist.inputCount()) != sig.inputWidth())
         throw std::invalid_argument("analyzeResilience: netlist input width != signature");
     if (static_cast<int>(netlist.outputCount()) != sig.outputWidth())

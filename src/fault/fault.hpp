@@ -130,6 +130,9 @@ struct ResilienceReport {
 /// outright.  Sampled spaces pack three faults plus the fault-free
 /// reference into one 256-lane block (64 lanes each) and compute per-fault
 /// deviation in-register against the reference lane group.
+///
+/// Throws std::invalid_argument on an interface mismatch or an operand
+/// wider than 32 bits (as `analyzeError` does).
 ResilienceReport analyzeResilience(const circuit::Netlist& netlist,
                                    const circuit::ArithSignature& sig,
                                    const CampaignConfig& config = {});

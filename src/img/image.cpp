@@ -5,12 +5,6 @@
 
 namespace axf::img {
 
-std::uint8_t Image::atClamped(int x, int y) const {
-    x = std::clamp(x, 0, width_ - 1);
-    y = std::clamp(y, 0, height_ - 1);
-    return at(x, y);
-}
-
 namespace {
 
 /// Bilinear value noise on a coarse lattice (Perlin-like texture term).

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "src/autoax/accelerator.hpp"
 #include "src/autoax/dse.hpp"
+#include "src/circuit/batch_sim.hpp"
+#include "src/circuit/kernels.hpp"
+#include "src/circuit/simulator.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/multipliers.hpp"
@@ -153,35 +158,51 @@ TEST(GaussianAccelerator, ConfigValidation) {
     EXPECT_THROW(accelerator().cost(shortConfig), std::out_of_range);
 }
 
-TEST(BatchAdd16, MatchesScalarSimulation) {
+TEST(BatchAdd16Wide, MatchesScalarSimulationOnEveryBackendAndWidth) {
+    // 1000 lanes leave a partial last block at every width (256 / 512 /
+    // 1024 lanes).  Operands carry 17 bits, like a previous level's
+    // carry-out: the adder sees only bits 0..15 of each.
     const circuit::Netlist adder = gen::loaAdder(16, 6);
-    circuit::Simulator batchSim(adder);
     circuit::Simulator scalarSim(adder);
+    constexpr std::size_t kLanes = 1000;
+    constexpr std::size_t kGuard = 24;
+    constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
     util::Rng rng(0x12);
-    std::array<std::uint32_t, 64> a{}, b{}, out{};
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-        a[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF));
-        b[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF));
+    std::vector<std::uint32_t> a(kLanes), b(kLanes), expected(kLanes);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        a[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0x1FFFF));
+        b[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0x1FFFF));
+        expected[lane] = static_cast<std::uint32_t>(scalarSim.evaluateScalar(
+            (a[lane] & 0xFFFFu) | (static_cast<std::uint64_t>(b[lane] & 0xFFFFu) << 16)));
     }
-    BatchAddScratch scratch;
-    batchAdd16(batchSim, std::span<const std::uint32_t>(a),
-               std::span<const std::uint32_t>(b), std::span<std::uint32_t>(out), scratch);
-    std::array<std::uint32_t, 64> out2{};
-    batchAdd16(batchSim, std::span<const std::uint32_t>(a),
-               std::span<const std::uint32_t>(b), std::span<std::uint32_t>(out2));
-    EXPECT_EQ(out, out2);  // scratch and convenience overloads agree
-    // More than 64 lanes cannot be packed into one word sweep: reject
-    // instead of silently aliasing lane 64 onto lane 0.
-    std::vector<std::uint32_t> big(65, 1), bigOut(65);
-    EXPECT_THROW(batchAdd16(batchSim, std::span<const std::uint32_t>(big),
-                            std::span<const std::uint32_t>(big),
-                            std::span<std::uint32_t>(bigOut)),
+    for (const circuit::kernels::Backend* backend : circuit::kernels::availableBackends()) {
+        const circuit::kernels::ScopedBackendOverride backendOverride(backend);
+        for (const std::size_t words : circuit::kernels::kWideWidths) {
+            const circuit::kernels::ScopedWidthOverride widthOverride(words);
+            const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(adder);
+            ASSERT_EQ(compiled.blockWords(), words);
+            circuit::BatchSimulator sim(compiled);
+            std::vector<circuit::CompiledNetlist::Word> inWords(
+                32 * circuit::BatchSimulator::kMaxWordsPerBlock);
+            std::vector<circuit::CompiledNetlist::Word> outWords(
+                compiled.outputCount() * circuit::BatchSimulator::kMaxWordsPerBlock);
+            std::vector<std::uint32_t> out(kLanes + kGuard, kSentinel);
+            batchAdd16Wide(sim, a.data(), b.data(), out.data(), kLanes, inWords, outWords);
+            for (std::size_t lane = 0; lane < kLanes; ++lane)
+                ASSERT_EQ(out[lane], expected[lane])
+                    << backend->name << " W=" << words << " lane " << lane;
+            for (std::size_t lane = kLanes; lane < out.size(); ++lane)
+                EXPECT_EQ(out[lane], kSentinel)
+                    << backend->name << " W=" << words << " wrote past lane " << kLanes;
+        }
+    }
+    // A program without the 16+16-bit interface is rejected, not misread.
+    const circuit::CompiledNetlist narrow = circuit::CompiledNetlist::compile(gen::loaAdder(8, 4));
+    circuit::BatchSimulator narrowSim(narrow);
+    std::vector<circuit::CompiledNetlist::Word> words(32 * circuit::BatchSimulator::kMaxWordsPerBlock);
+    std::vector<std::uint32_t> out(kLanes);
+    EXPECT_THROW(batchAdd16Wide(narrowSim, a.data(), b.data(), out.data(), kLanes, words, words),
                  std::invalid_argument);
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-        const std::uint64_t packed =
-            static_cast<std::uint64_t>(a[lane]) | (static_cast<std::uint64_t>(b[lane]) << 16);
-        EXPECT_EQ(out[lane], scalarSim.evaluateScalar(packed)) << "lane " << lane;
-    }
 }
 
 TEST(AcceleratorCost, AccurateCornerCostsMoreThanCheapCorner) {

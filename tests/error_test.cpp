@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/multipliers.hpp"
@@ -58,6 +62,14 @@ TEST(ErrorMetrics, InterfaceMismatchThrows) {
     const Netlist net = gen::rippleCarryAdder(4);
     EXPECT_THROW(analyzeError(net, adderSignature(5)), std::invalid_argument);
     EXPECT_THROW(analyzeError(net, multiplierSignature(4)), std::invalid_argument);
+
+    // Operands decode into 32-bit lanes: a 33-bit interface is rejected
+    // even when the netlist's arity matches it.
+    Netlist wide("wide33");
+    for (int i = 0; i < 66; ++i) wide.addInput();
+    const circuit::NodeId z = wide.addConst(false);
+    for (int i = 0; i < 34; ++i) wide.markOutput(z);
+    EXPECT_THROW(analyzeError(wide, adderSignature(33)), std::invalid_argument);
 }
 
 TEST(ErrorMetrics, SampledPathAgreesWithExhaustive) {
@@ -129,6 +141,41 @@ TEST(ErrorMetrics, ReportSerializationRoundTripsBitExact) {
         std::span<const std::uint8_t>(out.bytes().data(), out.bytes().size() - 1));
     ErrorReport bad;
     EXPECT_FALSE(ErrorReport::deserialize(truncated, bad));
+}
+
+/// Every field of `r` as its exact bit pattern, for golden comparisons.
+std::vector<std::uint64_t> reportBits(const ErrorReport& r) {
+    return {std::bit_cast<std::uint64_t>(r.med),
+            std::bit_cast<std::uint64_t>(r.meanAbsoluteError),
+            std::bit_cast<std::uint64_t>(r.worstCaseError),
+            std::bit_cast<std::uint64_t>(r.meanRelativeError),
+            std::bit_cast<std::uint64_t>(r.errorProbability),
+            std::bit_cast<std::uint64_t>(r.meanSquaredError),
+            r.vectorsEvaluated,
+            r.exhaustive ? 1u : 0u};
+}
+
+TEST(ErrorMetrics, SampledReportsMatchGoldenBits) {
+    // Pins what the sampled path outputs, not just that configurations
+    // agree with each other: an operand-extraction slip that is wrong the
+    // same way at every width, backend and thread count changes these
+    // bits.  Sample counts leave a partial last block.
+    ErrorAnalysisConfig adderCfg;
+    adderCfg.sampleCount = 10000;
+    EXPECT_EQ(reportBits(analyzeError(gen::loaAdder(16, 6), adderSignature(16), adderCfg)),
+              (std::vector<std::uint64_t>{0x3f1800f6d37fa1f0, 0x402800ded288ce70,
+                                          0x4040000000000000, 0x3f3078500cfeb909,
+                                          0x3fea90ff97247454, 0x407030e90ff97247, 10000, 0}));
+
+    ErrorAnalysisConfig multCfg;
+    multCfg.exhaustiveLimit = 1;  // force the sampled path on an 8x8 operator
+    multCfg.sampleCount = 3000;
+    multCfg.seed = 0x8A8;
+    EXPECT_EQ(reportBits(analyzeError(gen::truncatedMultiplier(8, 5), multiplierSignature(8),
+                                      multCfg)),
+              (std::vector<std::uint64_t>{0x3f405ce841c59cbd, 0x40403c3ece2a5349,
+                                          0x405c400000000000, 0x3f8b8ebcb845b8ee,
+                                          0x3feca11bfd44f308, 0x4098a678263ab597, 3000, 0}));
 }
 
 TEST(ErrorMetrics, WorstCaseDominatesMean) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <vector>
@@ -415,6 +416,24 @@ TEST(FaultReport, SerializationRoundTrips) {
     util::ByteReader truncated(std::span<const std::uint8_t>(bytes.data(), bytes.size() / 2));
     ResilienceReport bad;
     EXPECT_FALSE(ResilienceReport::deserialize(truncated, bad));
+}
+
+TEST(FaultCampaign, SampledReportMatchesGoldenBits) {
+    // Pins the sampled campaign's output itself (the determinism tests
+    // only compare configurations with each other).  700 vectors leave a
+    // partial last lane group.
+    CampaignConfig config;
+    config.analysis.sampleCount = 700;
+    const ResilienceReport report =
+        analyzeResilience(gen::loaAdder(16, 4), gen::adderSignature(16), config);
+    ASSERT_FALSE(report.exhaustive);
+    EXPECT_EQ(report.faults.size(), 122u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.meanMedUnderFault), 0x3f94fe659cdd789bu);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.worstMedUnderFault), 0x3fd0a40a0ed3eea5u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.nominal.med), 0x3ef599af3348cce3u);
+    std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over every serialized byte
+    for (const std::uint8_t byte : serialized(report)) digest = (digest ^ byte) * 1099511628211ull;
+    EXPECT_EQ(digest, 0x381f24e5f3e3fe30u);
 }
 
 TEST(FaultObjective, CgpSearchProblemGrowsThirdObjective) {

@@ -45,10 +45,22 @@ Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
     return net;
 }
 
+/// Scalar bit reference of the lane <-> plane layout: bits [0, bits) of
+/// `lane`, read from plane-major planes of `words` words each.
+std::uint32_t laneValue(const CompiledNetlist::Word* planes, std::size_t words, std::size_t bits,
+                        std::size_t lane) {
+    std::uint32_t value = 0;
+    for (std::size_t bit = 0; bit < bits; ++bit)
+        value |= static_cast<std::uint32_t>((planes[bit * words + lane / 64] >> (lane % 64)) & 1u)
+                 << bit;
+    return value;
+}
+
 /// Exhaustive batch-vs-scalar cross-check of one compiled program.
 void crossCheck(const Netlist& net, const CompiledNetlist& compiled) {
     const int totalBits = static_cast<int>(net.inputCount());
     ASSERT_LE(totalBits, 12);
+    ASSERT_LE(net.outputCount(), 32u);
     const std::uint64_t space = std::uint64_t{1} << totalBits;
     Simulator scalar(net);
     BatchSimulator batch(compiled);
@@ -60,12 +72,48 @@ void crossCheck(const Netlist& net, const CompiledNetlist& compiled) {
         batch.evaluate(in, out);
         const std::uint64_t lanes =
             std::min<std::uint64_t>(batch.blockLanes(), space - base);
-        for (std::uint64_t lane = 0; lane < lanes; ++lane) {
-            std::uint64_t result = 0;
-            for (std::size_t o = 0; o < net.outputCount(); ++o)
-                if ((out[o * W + lane / 64] >> (lane % 64)) & 1u)
-                    result |= std::uint64_t{1} << o;
-            ASSERT_EQ(result, scalar.evaluateScalar(base + lane)) << "vector " << base + lane;
+        for (std::uint64_t lane = 0; lane < lanes; ++lane)
+            ASSERT_EQ(laneValue(out.data(), W, net.outputCount(), lane),
+                      scalar.evaluateScalar(base + lane))
+                << "vector " << base + lane;
+    }
+}
+
+TEST(KernelCodecs, MatchScalarBitReferenceOnEveryBackendAndWidth) {
+    using Word = CompiledNetlist::Word;
+    util::Rng rng(0xC0DEC);
+    // Full 32-bit lane values: the encoder must ignore bits >= 16.
+    std::vector<std::uint32_t> values(kernels::kMaxWideLanes);
+    for (std::uint32_t& v : values) v = static_cast<std::uint32_t>(rng.uniformInt(0, ~0u));
+    std::vector<Word> randomPlanes(32 * kernels::kMaxWideWords);
+    for (Word& p : randomPlanes) p = rng.uniformInt(0, ~Word{0});
+
+    for (const kernels::Backend* backend : kernels::availableBackends()) {
+        for (const std::size_t words : kernels::kWideWidths) {
+            const kernels::WidthTables& codec = backend->at(words);
+            const std::size_t lanes = words * 64;
+            const std::string where = std::string(backend->name) + " W=" + std::to_string(words);
+
+            std::vector<Word> encoded(16 * words, 0xA5A5A5A5A5A5A5A5ull);
+            codec.encode16(values.data(), encoded.data());
+            for (std::size_t lane = 0; lane < lanes; ++lane)
+                ASSERT_EQ(laneValue(encoded.data(), words, 16, lane), values[lane] & 0xFFFFu)
+                    << where << " encode16 lane " << lane;
+
+            for (const std::size_t bits : {1u, 7u, 16u}) {
+                std::vector<std::uint16_t> decoded(lanes, 0xBEEF);
+                codec.decode16(randomPlanes.data(), bits, decoded.data());
+                for (std::size_t lane = 0; lane < lanes; ++lane)
+                    ASSERT_EQ(decoded[lane], laneValue(randomPlanes.data(), words, bits, lane))
+                        << where << " decode16 bits=" << bits << " lane " << lane;
+            }
+            for (const std::size_t bits : {1u, 17u, 32u}) {
+                std::vector<std::uint32_t> decoded(lanes, 0xDEADBEEFu);
+                codec.decode32(randomPlanes.data(), bits, decoded.data());
+                for (std::size_t lane = 0; lane < lanes; ++lane)
+                    ASSERT_EQ(decoded[lane], laneValue(randomPlanes.data(), words, bits, lane))
+                        << where << " decode32 bits=" << bits << " lane " << lane;
+            }
         }
     }
 }
