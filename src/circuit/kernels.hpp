@@ -171,22 +171,18 @@ using Decode32Fn = void (*)(const Word* planes, std::size_t bits, std::uint32_t*
 /// instantiation when the compiled netlist is specialized.
 inline constexpr std::uint32_t kMaxUnroll = 4;
 
-/// True when every row of a kernel table is populated.  A brace-init list
-/// shorter than `kOpCount` compiles fine (the tail value-initializes to
-/// nullptr), so each backend TU static_asserts this over its tables —
-/// adding an opcode without extending every row is a build error, not a
-/// null-call crash at dispatch time.
-constexpr bool tableComplete(const std::array<KernelFn, kOpCount>& table) {
-    for (const KernelFn fn : table)
-        if (fn == nullptr) return false;
-    return true;
-}
-constexpr bool tableComplete(
-    const std::array<std::array<KernelFn, kMaxUnroll>, kOpCount>& table) {
-    for (const auto& row : table)
-        for (const KernelFn fn : row)
-            if (fn == nullptr) return false;
-    return true;
+/// Builds one kernel row: one function per opcode, in `OpCode` order.  A
+/// brace-init list shorter than `kOpCount` compiles fine (the tail
+/// value-initializes to nullptr), so every backend TU builds its rows
+/// through this helper — adding an opcode without extending every row is a
+/// build error, not a null-call crash at dispatch time.  The check counts
+/// entries instead of comparing them with nullptr: GCC cannot evaluate a
+/// function-address comparison at compile time once null-pointer-check
+/// deletion is off, which -fsanitize=undefined does.
+template <typename... Fns>
+constexpr std::array<KernelFn, kOpCount> kernelRow(Fns... fns) {
+    static_assert(sizeof...(Fns) == kOpCount, "kernel row does not cover every opcode");
+    return {fns...};
 }
 
 /// Complete kernel family of one backend at one block width W: the generic
@@ -194,6 +190,20 @@ constexpr bool tableComplete(
 /// 1..kMaxUnroll instructions (indexed [op][count - 1]; nullptr falls back
 /// to `run`), the register-chained variants, and the lane codecs.
 struct WidthTables {
+    /// Every field is a required argument, so a family that misses one
+    /// fails to build (an aggregate brace-init would value-initialize the
+    /// missing tail to nullptr).
+    constexpr WidthTables(std::array<KernelFn, kOpCount> run_,
+                          std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> unrolled_,
+                          std::array<KernelFn, kOpCount> chained_, Encode16Fn encode16_,
+                          Decode16Fn decode16_, Decode32Fn decode32_)
+        : run(run_),
+          unrolled(unrolled_),
+          chained(chained_),
+          encode16(encode16_),
+          decode16(decode16_),
+          decode32(decode32_) {}
+
     std::array<KernelFn, kOpCount> run;
     std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> unrolled;
     std::array<KernelFn, kOpCount> chained;
@@ -218,15 +228,6 @@ struct Backend {
 
     const WidthTables& at(std::size_t words) const { return wide[widthIndex(words)]; }
 };
-
-/// True when every table of every width row is fully populated.
-constexpr bool tablesComplete(const std::array<WidthTables, kWidthCount>& wide) {
-    for (const WidthTables& t : wide)
-        if (!tableComplete(t.run) || !tableComplete(t.unrolled) || !tableComplete(t.chained) ||
-            t.encode16 == nullptr || t.decode16 == nullptr || t.decode32 == nullptr)
-            return false;
-    return true;
-}
 
 /// Backend chosen for this process: the widest ISA the CPU supports
 /// (avx512 > avx2 > neon > portable), overridable with AXF_FORCE_BACKEND

@@ -161,26 +161,26 @@ void chainWide(const Instr* instrs, std::uint32_t count, Word* ws) {
 }
 
 #define AXF_KERNEL_ROW(W, N)                                                                   \
-    {&runWide<W, OpCode::Buf, N>,     &runWide<W, OpCode::Not, N>,                             \
-     &runWide<W, OpCode::And, N>,     &runWide<W, OpCode::Or, N>,                              \
-     &runWide<W, OpCode::Xor, N>,     &runWide<W, OpCode::Nand, N>,                            \
-     &runWide<W, OpCode::Nor, N>,     &runWide<W, OpCode::Xnor, N>,                            \
-     &runWide<W, OpCode::AndNot, N>,  &runWide<W, OpCode::OrNot, N>,                           \
-     &runWide<W, OpCode::Mux, N>,     &runWide<W, OpCode::Maj, N>,                             \
-     &runWide<W, OpCode::Xor3, N>,    &runWide<W, OpCode::MuxNotA, N>,                         \
-     &runWide<W, OpCode::MuxNotB, N>, &runWide<W, OpCode::HalfAdd, N>,                         \
-     &runWide<W, OpCode::And3, N>,    &runWide<W, OpCode::Or3, N>}
+    kernelRow(&runWide<W, OpCode::Buf, N>,     &runWide<W, OpCode::Not, N>,                    \
+              &runWide<W, OpCode::And, N>,     &runWide<W, OpCode::Or, N>,                     \
+              &runWide<W, OpCode::Xor, N>,     &runWide<W, OpCode::Nand, N>,                   \
+              &runWide<W, OpCode::Nor, N>,     &runWide<W, OpCode::Xnor, N>,                   \
+              &runWide<W, OpCode::AndNot, N>,  &runWide<W, OpCode::OrNot, N>,                  \
+              &runWide<W, OpCode::Mux, N>,     &runWide<W, OpCode::Maj, N>,                    \
+              &runWide<W, OpCode::Xor3, N>,    &runWide<W, OpCode::MuxNotA, N>,                \
+              &runWide<W, OpCode::MuxNotB, N>, &runWide<W, OpCode::HalfAdd, N>,                \
+              &runWide<W, OpCode::And3, N>,    &runWide<W, OpCode::Or3, N>)
 
 #define AXF_CHAIN_ROW(W)                                                                       \
-    {&chainWide<W, OpCode::Buf>,     &chainWide<W, OpCode::Not>,                               \
-     &chainWide<W, OpCode::And>,     &chainWide<W, OpCode::Or>,                                \
-     &chainWide<W, OpCode::Xor>,     &chainWide<W, OpCode::Nand>,                              \
-     &chainWide<W, OpCode::Nor>,     &chainWide<W, OpCode::Xnor>,                              \
-     &chainWide<W, OpCode::AndNot>,  &chainWide<W, OpCode::OrNot>,                             \
-     &chainWide<W, OpCode::Mux>,     &chainWide<W, OpCode::Maj>,                               \
-     &chainWide<W, OpCode::Xor3>,    &chainWide<W, OpCode::MuxNotA>,                           \
-     &chainWide<W, OpCode::MuxNotB>, &chainWide<W, OpCode::HalfAdd>,                           \
-     &chainWide<W, OpCode::And3>,    &chainWide<W, OpCode::Or3>}
+    kernelRow(&chainWide<W, OpCode::Buf>,     &chainWide<W, OpCode::Not>,                      \
+              &chainWide<W, OpCode::And>,     &chainWide<W, OpCode::Or>,                       \
+              &chainWide<W, OpCode::Xor>,     &chainWide<W, OpCode::Nand>,                     \
+              &chainWide<W, OpCode::Nor>,     &chainWide<W, OpCode::Xnor>,                     \
+              &chainWide<W, OpCode::AndNot>,  &chainWide<W, OpCode::OrNot>,                    \
+              &chainWide<W, OpCode::Mux>,     &chainWide<W, OpCode::Maj>,                      \
+              &chainWide<W, OpCode::Xor3>,    &chainWide<W, OpCode::MuxNotA>,                  \
+              &chainWide<W, OpCode::MuxNotB>, &chainWide<W, OpCode::HalfAdd>,                  \
+              &chainWide<W, OpCode::And3>,    &chainWide<W, OpCode::Or3>)
 
 template <std::size_t W>
 constexpr std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> makeUnrolled() {
@@ -283,9 +283,6 @@ constexpr WidthTables makeWidthTables() {
 
 constexpr std::array<WidthTables, kWidthCount> kWideTables = {
     makeWidthTables<4>(), makeWidthTables<8>(), makeWidthTables<16>()};
-
-static_assert(tablesComplete(kWideTables),
-              "avx512 kernel table rows do not cover every opcode");
 
 constexpr Backend kBackend = {"avx512", kWideTables, kGenericNarrow, kGenericNarrowChained};
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/util/thread_pool.hpp"
+
 namespace axf::core {
 
 const char* fpgaParamName(FpgaParam p) {
@@ -25,19 +27,18 @@ double fpgaParamOf(const synth::FpgaReport& report, FpgaParam p) {
 CircuitDataset CircuitDataset::characterize(gen::AcLibrary library,
                                             const synth::AsicFlow& asicFlow,
                                             cache::CharacterizationCache* cache) {
+    // One independent iteration per circuit, each writing only its own slot.
     CircuitDataset ds;
-    ds.circuits_.reserve(library.size());
-    for (gen::LibraryCircuit& entry : library) {
-        CharacterizedCircuit cc;
-        cc.asic = cache::synthesizeCached(cache, asicFlow, entry.netlist);
-        const circuit::StructuralFeatures sf = circuit::extractFeatures(entry.netlist);
-        cc.features = sf.toVector();
+    ds.circuits_.resize(library.size());
+    util::ThreadPool::global().parallelFor(library.size(), [&](std::size_t i) {
+        CharacterizedCircuit& cc = ds.circuits_[i];
+        cc.asic = cache::synthesizeCached(cache, asicFlow, library[i].netlist);
+        cc.features = circuit::extractFeatures(library[i].netlist).toVector();
         cc.features.push_back(cc.asic.areaUm2);
         cc.features.push_back(cc.asic.delayNs);
         cc.features.push_back(cc.asic.powerMw);
-        cc.circuit = std::move(entry);
-        ds.circuits_.push_back(std::move(cc));
-    }
+        cc.circuit = std::move(library[i]);
+    });
     return ds;
 }
 

@@ -79,7 +79,9 @@ public:
 
     explicit ApproxFpgasFlow(Config config) : config_(std::move(config)) {}
 
-    /// Runs the methodology over a pre-built library.
+    /// Runs the methodology over a pre-built library.  Independent steps
+    /// run on `util::ThreadPool::global()`; the result is bit-identical at
+    /// any pool size.
     FlowResult run(gen::AcLibrary library) const;
 
     /// Quality axis used for Pareto construction (the paper plots MED).

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/ml/models.hpp"
+#include "src/obs/trace.hpp"
 
 namespace axf::ml {
 
@@ -133,6 +134,7 @@ std::vector<ModelVariant> hyperparameterGrid(const std::string& modelId,
 TunedModel tuneModel(const std::string& modelId, const AsicColumns& asic, const Matrix& xTrain,
                      const Vector& yTrain, const Matrix& xVal, const Vector& yVal,
                      const std::function<double(const Vector&, const Vector&)>& score) {
+    obs::Span span("ml.tune_model");
     TunedModel best;
     best.validationScore = -std::numeric_limits<double>::infinity();
     for (ModelVariant& variant : hyperparameterGrid(modelId, asic)) {
