@@ -30,8 +30,7 @@ static int benchMain() {
             circuit::CompiledNetlist::compile(probe).stats();
         std::cout << "engine: backend=" << s.backend << ", " << probe.gateCount()
                   << " gates -> " << s.instructions << " instrs (" << s.fusedOps
-                  << " fused ops), " << s.runs << " runs (" << s.chainedRuns << " chained)"
-                  << (s.specialized ? ", specialized" : "") << "\n";
+                  << " fused ops), " << s.runs << " runs\n";
     }
 
     gen::AcLibrary library = gen::buildLibrary(bench::libraryConfig(circuit::ArithOp::Multiplier, 8, scale));

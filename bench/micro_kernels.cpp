@@ -53,7 +53,7 @@ static void BM_BatchSimulatorSweep(benchmark::State& state) {
     const circuit::Netlist net = gen::wallaceMultiplier(static_cast<int>(state.range(0)));
     const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(net);
     circuit::BatchSimulator sim(compiled);
-    const std::size_t W = sim.blockWords();  // the program's auto-chosen width
+    const std::size_t W = sim.blockWords();
     std::vector<std::uint64_t> in(net.inputCount() * W, 0x0123456789ABCDEFull);
     std::vector<std::uint64_t> out(net.outputCount() * W);
     for (auto _ : state) {
@@ -65,25 +65,20 @@ static void BM_BatchSimulatorSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSimulatorSweep)->Arg(8)->Arg(16);
 
-/// Exhaustive-sweep throughput per block width: Arg(0) = multiplier bits
-/// (8 -> the full 16-bit space cycles, 16 -> sequential blocks of the
-/// 32-bit space), Arg(1) = forced blockWords (4 / 8 / 16).  The W=4 rows
-/// are the pre-width-set engine shape; the committed baseline pins the
-/// W=4-vs-best-W ratio per host.  items_per_second = vectors/sec.
+/// Exhaustive-sweep throughput: Arg = multiplier bits (8 -> the full
+/// 16-bit space cycles, 16 -> sequential blocks of the 32-bit space).
+/// items_per_second = vectors/sec.
 static void BM_SweepWidth(benchmark::State& state) {
     const circuit::Netlist net = gen::wallaceMultiplier(static_cast<int>(state.range(0)));
-    const std::size_t words = static_cast<std::size_t>(state.range(1));
-    circuit::CompiledNetlist::Options options;
-    options.blockWords = words;
-    const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(net, options);
+    const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(net);
     circuit::BatchSimulator sim(compiled);
     const int totalBits = static_cast<int>(net.inputCount());
     const std::uint64_t space = std::uint64_t{1} << totalBits;
-    std::vector<std::uint64_t> in(net.inputCount() * words);
-    std::vector<std::uint64_t> out(net.outputCount() * words);
+    std::vector<std::uint64_t> in(net.inputCount() * sim.blockWords());
+    std::vector<std::uint64_t> out(net.outputCount() * sim.blockWords());
     std::uint64_t base = 0;
     for (auto _ : state) {
-        circuit::fillExhaustiveBlock(in, totalBits, base, words);
+        circuit::fillExhaustiveBlock(in, totalBits, base);
         sim.evaluate(in, out);
         benchmark::DoNotOptimize(out.data());
         base += sim.blockLanes();
@@ -92,13 +87,7 @@ static void BM_SweepWidth(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(sim.blockLanes()));
 }
-BENCHMARK(BM_SweepWidth)
-    ->Args({8, 4})
-    ->Args({8, 8})
-    ->Args({8, 16})
-    ->Args({16, 4})
-    ->Args({16, 8})
-    ->Args({16, 16});
+BENCHMARK(BM_SweepWidth)->Arg(8)->Arg(16);
 
 static void BM_ExhaustiveError8x8_SeedBaseline(benchmark::State& state) {
     const circuit::Netlist net = gen::truncatedMultiplier(8, 4);
@@ -152,9 +141,9 @@ BENCHMARK(BM_SampledError16Bit);
 
 /// Exhaustive stuck-at campaign over the complete fault list of an 8x8
 /// multiplier (Arg(0) = exact Wallace, Arg(t) = truncated-t): the batched
-/// engine retires many faults per block pass (at the program's chosen
-/// width) by replaying only each fault's downstream cone; the sampled
-/// path additionally packs blockWords-1 faults per pass as lane groups.
+/// engine retires many faults per block pass by replaying only each
+/// fault's downstream cone; the sampled path additionally packs
+/// blockWords-1 faults per pass as lane groups.
 /// items_per_second = faults retired/sec.
 static void BM_FaultSweep(benchmark::State& state) {
     const circuit::Netlist net = state.range(0) == 0
@@ -393,11 +382,10 @@ double bestOf(Fn fn, int reps) {
 void printCompiledStats(const circuit::Netlist& net) {
     const circuit::CompiledNetlist::Stats s = circuit::CompiledNetlist::compile(net).stats();
     std::printf(
-        "compiled %-14s backend=%-8s W=%-2zu %3zu gates -> %3zu instrs (%zu fused ops, %zu "
-        "gates folded), %zu runs (longest %zu, %zu chained)%s\n",
-        net.name().c_str(), s.backend, s.blockWords, net.gateCount(), s.instructions,
-        s.fusedOps, s.gatesFused, s.runs, s.longestRun, s.chainedRuns,
-        s.specialized ? ", specialized" : "");
+        "compiled %-14s backend=%-8s %3zu gates -> %3zu instrs (%zu fused ops, %zu gates "
+        "folded), %zu runs (longest %zu)\n",
+        net.name().c_str(), s.backend, net.gateCount(), s.instructions, s.fusedOps,
+        s.gatesFused, s.runs, s.longestRun);
 }
 
 void printSpeedupSummary() {

@@ -17,11 +17,9 @@ using Word = CompiledNetlist::Word;
 
 namespace {
 
-/// Pixel-loop tile and buffer sizing: the widest block any bound program
-/// can choose.  `batchAdd16Wide` re-tiles internally to each simulator's
-/// own width, so the lane arrays stay width-agnostic.
-constexpr std::size_t kMaxWords = BatchSimulator::kMaxWordsPerBlock;
-constexpr std::size_t kMaxLanes = BatchSimulator::kMaxLanesPerBlock;
+/// Pixel-loop tile and buffer sizing: one simulator block.
+constexpr std::size_t kBlockWords = BatchSimulator::kBlockWords;
+constexpr std::size_t kBlockLanes = BatchSimulator::kBlockLanes;
 
 }  // namespace
 
@@ -61,10 +59,9 @@ GaussianAccelerator::GaussianAccelerator(std::vector<Component> multiplierMenu,
 
 std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& component,
                                                            cache::CharacterizationCache* cache) {
-    // Exhaustive 8x8 behavioural table swept at the compiled program's
-    // chosen block width; the result is a pure function of the netlist, so
-    // it is content-addressed in the characterization cache (little-endian
-    // u16 blob, 128 KiB).
+    // Exhaustive 8x8 behavioural table swept block by block; the result is
+    // a pure function of the netlist, so it is content-addressed in the
+    // characterization cache (little-endian u16 blob, 128 KiB).
     constexpr std::string_view kTableTag = "multtable16.v1";
     const cache::CacheKey key = cache != nullptr
                                     ? cache::CharacterizationCache::blobKey(
@@ -82,15 +79,12 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
     std::vector<std::uint16_t> table(1u << 16);
     const CompiledNetlist compiled = CompiledNetlist::compile(component.netlist);
     BatchSimulator sim(compiled);
-    const std::size_t words = sim.blockWords();
-    const std::size_t blockLanes = sim.blockLanes();
     const std::size_t bits = std::min<std::size_t>(compiled.outputCount(), 16);
-    const circuit::kernels::Decode16Fn decode = compiled.backend().at(words).decode16;
-    std::vector<Word> in(16 * words), out(compiled.outputCount() * words);
-    for (std::uint64_t base = 0; base < (1u << 16); base += blockLanes) {
-        circuit::fillExhaustiveBlock(in, 16, base, words);
+    std::vector<Word> in(16 * kBlockWords), out(compiled.outputCount() * kBlockWords);
+    for (std::uint64_t base = 0; base < (1u << 16); base += kBlockLanes) {
+        circuit::fillExhaustiveBlock(in, 16, base);
         sim.evaluate(in, out);
-        decode(out.data(), bits, table.data() + base);
+        compiled.backend().decode16(out.data(), bits, table.data() + base);
     }
     if (cache != nullptr) {
         std::vector<std::uint8_t> bytes(2 * table.size());
@@ -115,7 +109,7 @@ struct GaussianAccelerator::WorkspaceImpl : AcceleratorModel::Workspace {
 
 std::unique_ptr<AcceleratorModel::Workspace> GaussianAccelerator::makeWorkspace() const {
     auto ws = std::make_unique<WorkspaceImpl>();
-    ws->inWords.resize(32 * kMaxWords);
+    ws->inWords.resize(32 * kBlockWords);
     return ws;
 }
 
@@ -137,17 +131,17 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
         else
             ws.sims[static_cast<std::size_t>(node)].rebind(compiled);
     }
-    if (ws.outWords.size() < maxOutputs * kMaxWords) ws.outWords.resize(maxOutputs * kMaxWords);
+    if (ws.outWords.size() < maxOutputs * kBlockWords) ws.outWords.resize(maxOutputs * kBlockWords);
 
     const std::array<int, 9>& weights = kernelWeights();
     img::Image output(input.width(), input.height());
     const std::size_t total = input.pixelCount();
 
-    std::array<std::array<std::uint32_t, kMaxLanes>, 9> products{};
-    std::array<std::uint32_t, kMaxLanes> l1a{}, l1b{}, l1c{}, l1d{}, l2a{}, l2b{}, l3{}, sum{};
+    std::array<std::array<std::uint32_t, kBlockLanes>, 9> products{};
+    std::array<std::uint32_t, kBlockLanes> l1a{}, l1b{}, l1c{}, l1d{}, l2a{}, l2b{}, l3{}, sum{};
 
-    for (std::size_t base = 0; base < total; base += kMaxLanes) {
-        const std::size_t lanes = std::min<std::size_t>(kMaxLanes, total - base);
+    for (std::size_t base = 0; base < total; base += kBlockLanes) {
+        const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
             const std::size_t pixel = base + lane;
             const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
@@ -165,9 +159,9 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
                 }
             }
         }
-        const auto add = [&](int node, const std::array<std::uint32_t, kMaxLanes>& a,
-                             const std::array<std::uint32_t, kMaxLanes>& b,
-                             std::array<std::uint32_t, kMaxLanes>& out) {
+        const auto add = [&](int node, const std::array<std::uint32_t, kBlockLanes>& a,
+                             const std::array<std::uint32_t, kBlockLanes>& b,
+                             std::array<std::uint32_t, kBlockLanes>& out) {
             BatchSimulator& sim = ws.sims[static_cast<std::size_t>(node)];
             batchAdd16Wide(sim, a.data(), b.data(), out.data(), lanes, ws.inWords,
                            ws.outWords);

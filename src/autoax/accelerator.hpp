@@ -13,7 +13,7 @@ namespace axf::autoax {
 
 /// 3x3 Gaussian-blur hardware accelerator (kernel [1 2 1; 2 4 2; 1 2 1]/16)
 /// built from approximate components.  Evaluates the behavioural model
-/// bit-parallel (256 pixels per sweep) and composes hardware costs.
+/// bit-parallel (1024 pixels per sweep) and composes hardware costs.
 ///
 /// Configuration slots (see `configSpace()`): choices 0..8 pick the
 /// multiplier of the 9 kernel taps (row-major), choices 9..16 pick the

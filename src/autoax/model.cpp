@@ -129,17 +129,16 @@ void batchAdd16Wide(BatchSimulator& sim, const std::uint32_t* a, const std::uint
     if (compiled.inputCount() != 32 || compiled.outputCount() > 32)
         throw std::invalid_argument(
             "batchAdd16Wide: the program needs 32 inputs and at most 32 outputs");
-    // Loop over the simulator's own block width: callers may tile their
-    // lane arrays at any granularity (typically kMaxLanesPerBlock), and
-    // each bound program carries its own chosen width.  Pure integer
-    // bit-sliced evaluation — results are independent of the tiling.
+    // Callers may tile their lane arrays at any granularity (typically
+    // one block).  Pure integer bit-sliced evaluation — results are
+    // independent of the tiling.
     const std::size_t words = sim.blockWords();
     const std::size_t blockLanes = sim.blockLanes();
     const std::size_t outputs = compiled.outputCount();
-    const circuit::kernels::WidthTables& codec = compiled.backend().at(words);
+    const circuit::kernels::Backend& codec = compiled.backend();
     // A partial last block runs through zero-padded staging copies, since
     // the codecs always cover a whole block of lanes.
-    std::array<std::uint32_t, BatchSimulator::kMaxLanesPerBlock> tailA, tailB, tailOut;
+    std::array<std::uint32_t, BatchSimulator::kBlockLanes> tailA, tailB, tailOut;
     for (std::size_t blockBase = 0; blockBase < lanes; blockBase += blockLanes) {
         const std::size_t blockCount = std::min(blockLanes, lanes - blockBase);
         const std::uint32_t* blockA = a + blockBase;

@@ -143,14 +143,11 @@ public:
 
 /// Applies a 16-bit adder program to `lanes` operand pairs bit-parallel:
 /// the shared datapath step of the accelerator behavioural models, reusable
-/// for custom accelerators.  Sweeps in blocks of the simulator's own
-/// `blockLanes()` (256 / 512 / 1024 following the bound program's chosen
-/// width), packing and unpacking lanes through the program's backend
-/// codecs (`kernels::WidthTables::encode16` / `decode32`).  `inWords` /
-/// `outWords` are caller-owned blocks of at least 32 * blockWords() and
-/// outputCount * blockWords() words — size them with
-/// `BatchSimulator::kMaxWordsPerBlock` so rebinding to a wider program
-/// stays in bounds; nothing allocates.  Operands truncate to the adder's
+/// for custom accelerators.  Sweeps in blocks of `BatchSimulator::kBlockLanes`
+/// (1024), packing and unpacking lanes through the program's backend codecs
+/// (`kernels::Backend::encode16` / `decode32`).  `inWords` / `outWords` are
+/// caller-owned blocks of at least 32 * kBlockWords and outputCount *
+/// kBlockWords words; nothing allocates.  Operands truncate to the adder's
 /// 16-bit interface (inputs may carry a previous level's carry-out in
 /// bit 16).  Reads and writes exactly `lanes` entries of each array.
 /// Throws std::invalid_argument unless the program has 32 inputs and at

@@ -283,36 +283,6 @@ void fusePeephole(const Netlist& netlist, std::vector<NodeOp>& ops,
     }
 }
 
-/// Picks the block width for a freshly compiled program.  Priority:
-/// explicit `Options::blockWords`, `kernels::ScopedWidthOverride`,
-/// `AXF_FORCE_WIDTH`, then a workspace-footprint heuristic: take the
-/// widest width whose workspace still fits the fast cache levels.  Wider
-/// blocks amortize per-run dispatch (fn-pointer calls, plan walking,
-/// decode/accumulate boundaries) over 2-4x the lanes but multiply the
-/// working set by the same factor — so a program whose W = 16 workspace
-/// fits comfortably in L1 takes 1024 lanes per sweep, a mid-size one
-/// settles for 512 while the W = 8 workspace still fits the L2 slice, and
-/// a large one stays at the 256-lane baseline.  The choice never affects
-/// results (bit-identical across the width set), only execution shape.
-std::size_t chooseBlockWords(std::size_t requested, std::size_t slots) {
-    if (requested != 0) {
-        if (!kernels::isWideWidth(requested))
-            throw std::invalid_argument(
-                "CompiledNetlist: Options::blockWords must be 0, 4, 8 or 16");
-        return requested;
-    }
-    if (const std::size_t words = kernels::widthOverride(); words != 0) return words;
-    if (const std::size_t words = kernels::forcedWidth(); words != 0) return words;
-    constexpr std::size_t kL1Budget = 32u << 10;
-    constexpr std::size_t kL2Budget = 768u << 10;
-    const auto bytesAt = [slots](std::size_t words) {
-        return slots * words * sizeof(CompiledNetlist::Word);
-    };
-    if (bytesAt(16) <= kL1Budget) return 16;
-    if (bytesAt(8) <= kL2Budget) return 8;
-    return kernels::kBaseWideWords;
-}
-
 }  // namespace
 
 CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options) {
@@ -496,9 +466,9 @@ CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options
     // Greedy run-maximizing list schedule: repeatedly pick the opcode with
     // the most ready instructions and emit its entire ready *closure* —
     // instructions unlocked by the run join the same run, so dependent
-    // same-opcode chains (ripple carries, XOR trees) become one long run
-    // with register-forwarded hot slots.  Deterministic: queues fill in
-    // item order and the opcode choice is a pure function of queue sizes.
+    // same-opcode chains (ripple carries, XOR trees) become one long run.
+    // Deterministic: queues fill in item order and the opcode choice is a
+    // pure function of queue sizes.
     std::array<std::vector<std::uint32_t>, kernels::kOpCount> ready;
     std::array<std::size_t, kernels::kOpCount> readyHead{};
     for (std::uint32_t item = 0; item < itemCount; ++item)
@@ -553,56 +523,10 @@ CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options
     }
     compiled.gatesFused_ = preFusionGates - compiled.instrs_.size();
 
-    // Chain detection: normalize commutative operands so a dependent value
-    // rides operand `a`, then mark runs where every instruction consumes
-    // its predecessor's destination — those dispatch to register-chained
-    // kernels (the workspace store still happens for later consumers, but
-    // the serial dependency never waits on a reload).  The scheduler's
-    // closure emission lays dependent same-opcode chains out contiguously,
-    // so ripple carries and XOR reductions qualify wholesale.
-    const auto symmetricAB = [](OpCode op) {
-        switch (op) {
-            case OpCode::And:
-            case OpCode::Or:
-            case OpCode::Xor:
-            case OpCode::Nand:
-            case OpCode::Nor:
-            case OpCode::Xnor:
-            case OpCode::Maj:
-            case OpCode::Xor3:
-            case OpCode::And3:
-            case OpCode::Or3:
-            case OpCode::HalfAdd: return true;
-            default: return false;
-        }
-    };
-    for (Run& run : compiled.runs_) {
-        bool chained = run.end - run.begin >= 2;
-        for (std::uint32_t idx = run.begin + 1; idx < run.end && chained; ++idx) {
-            Instr& ins = compiled.instrs_[idx];
-            const std::uint32_t prev = compiled.instrs_[idx - 1].dst;
-            if (ins.a == prev) continue;
-            if (symmetricAB(run.op) && ins.b == prev) {
-                std::swap(ins.a, ins.b);
-            } else if ((run.op == OpCode::Maj || run.op == OpCode::Xor3 ||
-                        run.op == OpCode::And3 || run.op == OpCode::Or3) &&
-                       ins.c == prev) {
-                std::swap(ins.a, ins.c);
-            } else {
-                chained = false;
-            }
-        }
-        run.chained = chained;
-    }
-
     compiled.inputSlots_.reserve(netlist.inputCount());
     for (NodeId in : netlist.inputs()) compiled.inputSlots_.push_back(slotOf[in]);
     compiled.outputSlots_.reserve(netlist.outputCount());
     for (NodeId out : netlist.outputs()) compiled.outputSlots_.push_back(slotOf[out]);
-
-    compiled.blockWords_ = chooseBlockWords(options.blockWords, compiled.slotCount_);
-    compiled.buildPlan();
-    if (compiled.instrs_.size() <= kAutoSpecializeInstructions) compiled.specialize();
 
     // AXF_VERIFY debug gate: self-verify every compiled program against
     // the source netlist (dataflow discipline, schedule claims, fusion
@@ -613,53 +537,15 @@ CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options
     return compiled;
 }
 
-void CompiledNetlist::buildPlan() {
-    plan_.clear();
-    plan_.reserve(runs_.size());
-    const kernels::Backend& backend = *backend_;
-    for (const Run& run : runs_) {
-        const auto op = static_cast<std::size_t>(run.op);
-        const std::uint32_t count = run.end - run.begin;
-        PlannedRun planned{};
-        for (std::size_t wi = 0; wi < kernels::kWidthCount; ++wi) {
-            const kernels::WidthTables& tables = backend.wide[wi];
-            kernels::KernelFn fn = tables.run[op];
-            if (run.chained && tables.chained[op] != nullptr) {
-                fn = tables.chained[op];
-            } else if (specialized_ && count <= kernels::kMaxUnroll &&
-                       tables.unrolled[op][count - 1] != nullptr) {
-                fn = tables.unrolled[op][count - 1];
-            }
-            planned.wide[wi] = fn;
-        }
-        planned.narrow = (run.chained && backend.narrowChained[op] != nullptr)
-                             ? backend.narrowChained[op]
-                             : backend.narrow[op];
-        planned.begin = run.begin;
-        planned.count = count;
-        plan_.push_back(planned);
-    }
-}
-
-void CompiledNetlist::specialize() {
-    if (specialized_) return;
-    specialized_ = true;
-    buildPlan();
-}
-
 CompiledNetlist::Stats CompiledNetlist::stats() const {
     Stats s;
     s.instructions = instrs_.size();
     s.runs = runs_.size();
-    for (const Run& run : runs_) {
+    for (const Run& run : runs_)
         s.longestRun = std::max<std::size_t>(s.longestRun, run.end - run.begin);
-        s.chainedRuns += run.chained ? 1 : 0;
-    }
     s.fusedOps = fusedOps_;
     s.gatesFused = gatesFused_;
     s.backend = backend_ != nullptr ? backend_->name : "";
-    s.blockWords = blockWords_;
-    s.specialized = specialized_;
     return s;
 }
 
@@ -672,29 +558,36 @@ void CompiledNetlist::initWorkspace(std::span<Word> workspace, std::size_t words
     }
 }
 
+namespace {
+
+/// The backend's kernel row for width W.
+template <std::size_t W>
+const std::array<kernels::KernelFn, kernels::kOpCount>& kernelsFor(
+    const kernels::Backend& backend) {
+    static_assert(W == 1 || W == kernels::kBlockWords,
+                  "kernels exist for W = 1 and W = kBlockWords only");
+    if constexpr (W == 1)
+        return backend.narrow;
+    else
+        return backend.run;
+}
+
+}  // namespace
+
 template <std::size_t W>
 void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
-    static_assert(W == 1 || kernels::isWideWidth(W),
-                  "kernel tables exist for W = 1 and the wide width set only");
     // The input/output block copies go through memcpy: caller buffers are
     // plain vectors with no alignment contract, and the compiler inlines
-    // these to unaligned vector moves anyway.  The workspace itself must
-    // satisfy the slot alignment (W * 8 bytes for the wide configurations;
-    // BatchSimulator 128-byte-aligns it) because the kernels use whole-slot
-    // vector accesses.
+    // these to unaligned vector moves anyway.
     const std::uint32_t* inSlots = inputSlots_.data();
     for (std::size_t i = 0; i < inputSlots_.size(); ++i)
         std::memcpy(ws + static_cast<std::size_t>(inSlots[i]) * W, inputs + i * W,
                     W * sizeof(Word));
-    // One pre-resolved kernel call per same-opcode run: the backend was
-    // chosen at compile() time, so there is no dispatch left here.
+    // One kernel call per same-opcode run.
     const kernels::Instr* instrs = instrs_.data();
-    for (const PlannedRun& r : plan_) {
-        if constexpr (W == 1)
-            r.narrow(instrs + r.begin, r.count, ws);
-        else
-            r.wide[kernels::widthIndex(W)](instrs + r.begin, r.count, ws);
-    }
+    const auto& row = kernelsFor<W>(*backend_);
+    for (const Run& r : runs_)
+        row[static_cast<std::size_t>(r.op)](instrs + r.begin, r.end - r.begin, ws);
     const std::uint32_t* outSlots = outputSlots_.data();
     for (std::size_t o = 0; o < outputSlots_.size(); ++o)
         std::memcpy(outputs + o * W, ws + static_cast<std::size_t>(outSlots[o]) * W,
@@ -702,9 +595,7 @@ void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
 }
 
 template void CompiledNetlist::run<1>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<4>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<8>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<16>(const Word*, Word*, Word*) const;
+template void CompiledNetlist::run<kernels::kBlockWords>(const Word*, Word*, Word*) const;
 
 namespace {
 
@@ -719,8 +610,6 @@ void applyFault(CompiledNetlist::Word* ws, const CompiledNetlist::InjectedFault&
 template <std::size_t W>
 void CompiledNetlist::runWithFaults(const Word* inputs, Word* outputs, Word* ws,
                                     std::span<const InjectedFault> faults) const {
-    static_assert(W == 1 || kernels::isWideWidth(W),
-                  "kernel tables exist for W = 1 and the wide width set only");
     const std::uint32_t* inSlots = inputSlots_.data();
     for (std::size_t i = 0; i < inputSlots_.size(); ++i)
         std::memcpy(ws + static_cast<std::size_t>(inSlots[i]) * W, inputs + i * W,
@@ -730,36 +619,18 @@ void CompiledNetlist::runWithFaults(const Word* inputs, Word* outputs, Word* ws,
         applyFault<W>(ws, faults[fi++]);
 
     const kernels::Instr* instrs = instrs_.data();
-    const kernels::Backend& backend = *backend_;
-    const auto dispatch = [&](OpCode op, std::uint32_t begin, std::uint32_t count) {
-        if (count == 0) return;
-        const auto opIdx = static_cast<std::size_t>(op);
-        if constexpr (W == 1)
-            backend.narrow[opIdx](instrs + begin, count, ws);
-        else
-            backend.wide[kernels::widthIndex(W)].run[opIdx](instrs + begin, count, ws);
-    };
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-        const Run& run = runs_[r];
-        if (fi >= faults.size() || faults[fi].afterInstr >= run.end) {
-            // No fault boundary inside this run: pre-resolved plan kernel,
-            // exactly as run<W>.
-            const PlannedRun& p = plan_[r];
-            if constexpr (W == 1)
-                p.narrow(instrs + p.begin, p.count, ws);
-            else
-                p.wide[kernels::widthIndex(W)](instrs + p.begin, p.count, ws);
-            continue;
-        }
-        // Split the run at each faulted instruction; the generic kernels
-        // accept any contiguous sub-range and compute identical bits.
+    const auto& row = kernelsFor<W>(*backend_);
+    for (const Run& run : runs_) {
+        const kernels::KernelFn kernel = row[static_cast<std::size_t>(run.op)];
+        // Split the run at each faulted instruction; the kernels accept any
+        // contiguous sub-range and compute identical bits.
         std::uint32_t pos = run.begin;
         while (pos < run.end) {
             const std::uint32_t stop =
                 (fi < faults.size() && faults[fi].afterInstr < run.end)
                     ? faults[fi].afterInstr + 1
                     : run.end;
-            dispatch(run.op, pos, stop - pos);
+            kernel(instrs + pos, stop - pos, ws);
             pos = stop;
             while (fi < faults.size() && faults[fi].afterInstr == stop - 1)
                 applyFault<W>(ws, faults[fi++]);
@@ -773,36 +644,26 @@ void CompiledNetlist::runWithFaults(const Word* inputs, Word* outputs, Word* ws,
 
 template void CompiledNetlist::runWithFaults<1>(const Word*, Word*, Word*,
                                                 std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<4>(const Word*, Word*, Word*,
-                                                std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<8>(const Word*, Word*, Word*,
-                                                std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<16>(const Word*, Word*, Word*,
-                                                 std::span<const InjectedFault>) const;
+template void CompiledNetlist::runWithFaults<kernels::kBlockWords>(
+    const Word*, Word*, Word*, std::span<const InjectedFault>) const;
 
 void BatchSimulator::rebind(const CompiledNetlist& compiled) {
     if (compiled_ == &compiled) return;  // constants already in place
     compiled_ = &compiled;
-    const std::size_t words = compiled.blockWords();
-    const std::size_t needed = compiled.workspaceWords(words) + kAlignWords;
+    const std::size_t needed = compiled.workspaceWords(kBlockWords) + kAlignWords;
     if (storage_.size() < needed) storage_.assign(needed, 0);
     const std::size_t misalign =
         reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
     workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-    compiled.initWorkspace({workspace_, compiled.workspaceWords(words)}, words);
+    compiled.initWorkspace({workspace_, compiled.workspaceWords(kBlockWords)}, kBlockWords);
 }
 
 void BatchSimulator::evaluate(std::span<const Word> inputWords, std::span<Word> outputWords) {
-    const std::size_t words = compiled_->blockWords();
-    if (inputWords.size() != compiled_->inputCount() * words)
+    if (inputWords.size() != compiled_->inputCount() * kBlockWords)
         throw std::invalid_argument("BatchSimulator: input word count mismatch");
-    if (outputWords.size() != compiled_->outputCount() * words)
+    if (outputWords.size() != compiled_->outputCount() * kBlockWords)
         throw std::invalid_argument("BatchSimulator: output word count mismatch");
-    switch (words) {
-        case 4: compiled_->run<4>(inputWords.data(), outputWords.data(), workspace_); break;
-        case 8: compiled_->run<8>(inputWords.data(), outputWords.data(), workspace_); break;
-        default: compiled_->run<16>(inputWords.data(), outputWords.data(), workspace_); break;
-    }
+    compiled_->run<kBlockWords>(inputWords.data(), outputWords.data(), workspace_);
 }
 
 }  // namespace axf::circuit

@@ -23,38 +23,23 @@ namespace axf::circuit {
 /// immutable and sharable — one `CompiledNetlist` can back any number of
 /// `BatchSimulator` workspaces (e.g. one per worker thread).
 ///
-/// Evaluation is driven by a kernel *plan*: one pre-resolved function
-/// pointer per maximal same-opcode run, snapshot against a
-/// `kernels::Backend` (runtime CPU dispatch: AVX-512 / AVX2 / NEON /
-/// portable) at compile() time.  Every backend computes bit-identical
-/// results; only instruction selection differs.
+/// Evaluation dispatches one kernel call per maximal same-opcode run,
+/// through the `kernels::Backend` (runtime CPU dispatch: AVX-512 / AVX2 /
+/// NEON / portable) bound at compile() time.  Every backend computes
+/// bit-identical results; only instruction selection differs.
 ///
 /// Instruction operands are *slot* indices into a workspace of
 /// `slotCount() * W` words, where `W` is the number of 64-bit words carried
-/// per slot.  `run<W>()` evaluates one block of `W * 64` independent lanes;
-/// the per-gate dispatch is amortized over the W words and over whole
-/// same-opcode runs.
+/// per slot: `kBlockWords` (1024 lanes) for `BatchSimulator`, or 1 for the
+/// single-word paths (`Simulator`, activity estimation).  The per-gate
+/// dispatch is amortized over the W words and over whole same-opcode runs.
 class CompiledNetlist {
 public:
     using Word = std::uint64_t;
 
-    /// Upper bound of the wide width set (see `kernels::kWideWidths`): the
-    /// sizing constant for width-agnostic buffers.  Each compiled program
-    /// additionally carries a *chosen* block width (`blockWords()`, 4 / 8 /
-    /// 16 words = 256 / 512 / 1024 lanes per sweep) picked at compile()
-    /// time — from `Options::blockWords`, `kernels::ScopedWidthOverride`,
-    /// `AXF_FORCE_WIDTH`, or a workspace-footprint heuristic, in that
-    /// priority order — which sizes its `BatchSimulator` workspaces.  The
-    /// program remains runnable at every width in the set, and results are
-    /// bit-identical across all of them: width is an execution-shape knob,
-    /// never a semantic one.
-    static constexpr std::size_t kMaxWordsPerBlock = kernels::kMaxWideWords;
-    static constexpr std::size_t kMaxLanesPerBlock = kernels::kMaxWideLanes;
-
-    /// Programs at or below this instruction count are specialized
-    /// automatically: short runs dispatch to fully unrolled straight-line
-    /// kernel instantiations (the "superblock" plan).
-    static constexpr std::size_t kAutoSpecializeInstructions = 256;
+    /// Block shape of every wide sweep: 16 words = 1024 lanes per slot.
+    static constexpr std::size_t kBlockWords = kernels::kBlockWords;
+    static constexpr std::size_t kBlockLanes = kernels::kBlockLanes;
 
     struct Options {
         /// Drop gates outside the output cone.  Disable when per-node
@@ -63,13 +48,9 @@ public:
         bool pruneDead = true;
         /// Peephole-fuse single-use gate chains (pruned compiles only).
         bool fuseOps = true;
-        /// Kernel backend to resolve the plan against; nullptr selects the
-        /// process-wide `kernels::selectedBackend()`.
+        /// Kernel backend to run on; nullptr selects the process-wide
+        /// `kernels::selectedBackend()`.
         const kernels::Backend* backend = nullptr;
-        /// Block width in words (4 / 8 / 16) for this program's
-        /// `BatchSimulator` workspaces; 0 picks automatically (override
-        /// hooks, then the footprint heuristic).
-        std::size_t blockWords = 0;
     };
 
     /// Compile-time shape of the program, for observability (printed by
@@ -78,12 +59,9 @@ public:
         std::size_t instructions = 0;  ///< emitted instructions (post-fusion)
         std::size_t runs = 0;          ///< same-opcode dispatch groups
         std::size_t longestRun = 0;    ///< instructions in the largest run
-        std::size_t chainedRuns = 0;   ///< runs using register-chained kernels
         std::size_t fusedOps = 0;      ///< peephole rewrites applied
         std::size_t gatesFused = 0;    ///< live gates folded away by fusion
-        const char* backend = "";      ///< kernel backend the plan resolves to
-        std::size_t blockWords = 0;    ///< chosen block width (words per slot)
-        bool specialized = false;      ///< unrolled straight-line plan active
+        const char* backend = "";      ///< kernel backend the program runs on
     };
 
     /// Maximal run of same-opcode instructions: the evaluator dispatches
@@ -93,9 +71,6 @@ public:
     struct Run {
         kernels::OpCode op;
         std::uint32_t begin, end;  ///< [begin, end) into instructions()
-        /// Every instruction after the first reads its predecessor's
-        /// destination as operand a: dispatches to the chained kernels.
-        bool chained = false;
     };
 
     CompiledNetlist() = default;
@@ -120,30 +95,20 @@ public:
     std::span<const std::uint32_t> outputSlots() const { return outputSlots_; }
     /// Source-netlist node held by each workspace slot (indexed by slot).
     std::span<const NodeId> slotNodes() const { return slotNode_; }
-    /// The schedule: maximal same-opcode runs partitioning instructions(),
-    /// with the chain claims the plan's kernel selection relies on.  The
-    /// static verifier (src/verify) re-checks every claim against the
-    /// instruction stream.
+    /// The schedule: maximal same-opcode runs partitioning instructions().
+    /// The static verifier (src/verify) re-checks the partition against
+    /// the instruction stream.
     std::span<const Run> runs() const { return runs_; }
     /// Hoisted constant slots and their values (written once by
     /// initWorkspace, never touched by run()).
     std::span<const std::pair<std::uint32_t, bool>> constantSlots() const { return constants_; }
     const kernels::Backend& backend() const { return *backend_; }
 
-    /// Block width chosen for this program (words per slot: 4, 8 or 16)
-    /// and its lane count per sweep.  Purely an execution-shape choice:
-    /// `run<W>` stays valid — and bit-identical — at every width.
-    std::size_t blockWords() const { return blockWords_; }
-    std::size_t blockLanes() const { return blockWords_ * 64; }
+    /// Words per slot and lanes per sweep of `BatchSimulator` workspaces.
+    static constexpr std::size_t blockWords() { return kBlockWords; }
+    static constexpr std::size_t blockLanes() { return kBlockLanes; }
 
     Stats stats() const;
-
-    /// Rebuilds the kernel plan with the unrolled short-run ("superblock")
-    /// variants.  compile() applies this automatically at or below
-    /// kAutoSpecializeInstructions; calling it on larger programs forces
-    /// the straight-line plan.  Idempotent; results are bit-identical.
-    void specialize();
-    bool specialized() const { return specialized_; }
 
     std::size_t workspaceWords(std::size_t wordsPerSlot) const {
         return slotCount_ * wordsPerSlot;
@@ -153,14 +118,16 @@ public:
     /// are never re-evaluated inside `run`).
     void initWorkspace(std::span<Word> workspace, std::size_t wordsPerSlot) const;
 
-    /// Evaluates one block of W*64 lanes, W in {1, 4, 8, 16}.  `inputs` is
-    /// input-major (`inputCount() * W` words: input i occupies [i*W,
+    /// Evaluates one block of W*64 lanes, W in {1, kBlockWords}.  `inputs`
+    /// is input-major (`inputCount() * W` words: input i occupies [i*W,
     /// i*W+W)), `outputs` likewise.  `workspace` must hold
-    /// `workspaceWords(W)` words, be aligned to `W * sizeof(Word)` bytes
-    /// (the kernels use whole-slot vector accesses; `BatchSimulator`
-    /// 128-byte-aligns its workspace so every width's slots stay
-    /// cache-line-clean) and have been initialized with `initWorkspace`
-    /// once.  The input/output buffers carry no alignment requirement.
+    /// `workspaceWords(W)` words, be aligned to `sizeof(Word)` (8 bytes —
+    /// the generic kernels access slots through an aligned(8) vector type
+    /// and AVX-512 uses unaligned loads/stores; `BatchSimulator`
+    /// 128-byte-aligns its workspace anyway so slots never straddle cache
+    /// lines)
+    /// and have been initialized with `initWorkspace` once.  The
+    /// input/output buffers carry no alignment requirement.
     template <std::size_t W>
     void run(const Word* inputs, Word* outputs, Word* workspace) const;
 
@@ -172,7 +139,7 @@ public:
     struct InjectedFault {
         std::uint32_t afterInstr = 0;
         std::uint32_t slot = 0;
-        std::array<Word, kMaxWordsPerBlock> mask{};
+        std::array<Word, kBlockWords> mask{};
         bool stuckTo = false;
     };
     /// `afterInstr` sentinel for faults on primary-input slots.
@@ -180,67 +147,48 @@ public:
 
     /// `run<W>` with stuck-at overrides.  `faults` must be ordered with
     /// input-stage faults first, then ascending `afterInstr` (several
-    /// faults may share one instruction).  Fault-free runs dispatch through
-    /// the pre-resolved plan exactly like `run`; a run containing a fault
-    /// boundary is split into sub-ranges driven through the backend's
-    /// generic kernels, which compute bit-identical results on any
-    /// contiguous sub-range.  With an empty fault list this is exactly
-    /// `run<W>`.
+    /// faults may share one instruction).  A run containing a fault
+    /// boundary is split into sub-ranges; the kernels compute bit-identical
+    /// results on any contiguous sub-range.  With an empty fault list this
+    /// is exactly `run<W>`.
     template <std::size_t W>
     void runWithFaults(const Word* inputs, Word* outputs, Word* workspace,
                        std::span<const InjectedFault> faults) const;
 
 private:
-    /// One plan entry per run: kernels pre-resolved against `backend_`,
-    /// one per wide width (indexed by `kernels::widthIndex`) plus the
-    /// narrow W = 1 variant — so a single compiled program dispatches at
-    /// any width without re-planning.
-    struct PlannedRun {
-        std::array<kernels::KernelFn, kernels::kWidthCount> wide;
-        kernels::KernelFn narrow;
-        std::uint32_t begin, count;
-    };
-
-    void buildPlan();
-
     std::vector<kernels::Instr> instrs_;
     std::vector<Run> runs_;
-    std::vector<PlannedRun> plan_;
     std::vector<std::uint32_t> inputSlots_;
     std::vector<std::uint32_t> outputSlots_;
     std::vector<NodeId> slotNode_;
     std::vector<std::pair<std::uint32_t, bool>> constants_;
     std::size_t slotCount_ = 0;
-    std::size_t blockWords_ = kernels::kBaseWideWords;
     std::size_t fusedOps_ = 0;
     std::size_t gatesFused_ = 0;
     const kernels::Backend* backend_ = nullptr;
     bool allNodes_ = false;
-    bool specialized_ = false;
 };
 
-/// Multi-word evaluator: carries `blockLanes()` (256 / 512 / 1024,
-/// following the compiled program's chosen width) independent test vectors
-/// per sweep over a shared `CompiledNetlist`.  Owns the workspace, so a
+/// Multi-word evaluator: carries `kBlockLanes` (1024) independent test
+/// vectors per sweep over a shared `CompiledNetlist`.  Owns the workspace, so a
 /// single instance is not thread-safe; create one per thread (the compiled
 /// netlist itself is immutable and freely shared).
 class BatchSimulator {
 public:
     using Word = CompiledNetlist::Word;
-    static constexpr std::size_t kMaxWordsPerBlock = CompiledNetlist::kMaxWordsPerBlock;
-    static constexpr std::size_t kMaxLanesPerBlock = CompiledNetlist::kMaxLanesPerBlock;
+    static constexpr std::size_t kBlockWords = CompiledNetlist::kBlockWords;
+    static constexpr std::size_t kBlockLanes = CompiledNetlist::kBlockLanes;
 
     explicit BatchSimulator(const CompiledNetlist& compiled)
         : compiled_(&compiled),
-          storage_(compiled.workspaceWords(compiled.blockWords()) + kAlignWords, 0) {
-        // 128-byte-align the workspace: slots are up to 128-byte regions
-        // (W = 16), and a lesser-aligned base would make wide slots
-        // straddle cache lines (split vector loads/stores on every gate).
+          storage_(compiled.workspaceWords(kBlockWords) + kAlignWords, 0) {
+        // 128-byte-align the workspace: slots are 128-byte regions, and a
+        // lesser-aligned base would make them straddle cache lines (split
+        // vector loads/stores on every gate).
         std::size_t misalign =
             reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
         workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-        compiled.initWorkspace({workspace_, compiled.workspaceWords(compiled.blockWords())},
-                               compiled.blockWords());
+        compiled.initWorkspace({workspace_, compiled.workspaceWords(kBlockWords)}, kBlockWords);
     }
 
     // The aligned view points into storage_: moves keep it valid (the heap
@@ -250,10 +198,9 @@ public:
     BatchSimulator(BatchSimulator&&) = default;
     BatchSimulator& operator=(BatchSimulator&&) = default;
 
-    /// Block shape this workspace is sized for (the compiled program's
-    /// chosen width).
-    std::size_t blockWords() const { return compiled_->blockWords(); }
-    std::size_t blockLanes() const { return compiled_->blockLanes(); }
+    /// Block shape this workspace is sized for.
+    static constexpr std::size_t blockWords() { return kBlockWords; }
+    static constexpr std::size_t blockLanes() { return kBlockLanes; }
 
     /// Evaluates one `blockLanes()`-lane block.  `inputWords` holds
     /// `inputCount() * blockWords()` words input-major; `outputWords`
@@ -286,14 +233,15 @@ inline constexpr std::array<CompiledNetlist::Word, 6> kExhaustiveLanePattern = {
 /// Fills an input-major block (`totalBits * W` words) so that lane L of the
 /// block carries input index `base + L`, for W words of 64 lanes each.
 /// `base` must be a multiple of `W * 64`.
-template <std::size_t W>
+template <std::size_t W = CompiledNetlist::kBlockWords>
 inline void fillExhaustiveBlock(std::span<CompiledNetlist::Word> inputWords, int totalBits,
                                 std::uint64_t base) {
     using Word = CompiledNetlist::Word;
     for (int bit = 0; bit < totalBits; ++bit) {
         Word* words = inputWords.data() + static_cast<std::size_t>(bit) * W;
         if (bit < 6) {
-            for (std::size_t w = 0; w < W; ++w) words[w] = kExhaustiveLanePattern[static_cast<std::size_t>(bit)];
+            for (std::size_t w = 0; w < W; ++w)
+                words[w] = kExhaustiveLanePattern[static_cast<std::size_t>(bit)];
         } else if (static_cast<std::uint64_t>(1) << (bit - 6) < W) {
             // Bits addressing the word index inside the block.
             for (std::size_t w = 0; w < W; ++w)
@@ -301,26 +249,6 @@ inline void fillExhaustiveBlock(std::span<CompiledNetlist::Word> inputWords, int
         } else {
             const Word v = (base >> bit) & 1u ? ~Word{0} : Word{0};
             for (std::size_t w = 0; w < W; ++w) words[w] = v;
-        }
-    }
-}
-
-/// Runtime-width overload for call sites driven by a compiled program's
-/// `blockWords()`.  Bit-identical to the template at every width.
-inline void fillExhaustiveBlock(std::span<CompiledNetlist::Word> inputWords, int totalBits,
-                                std::uint64_t base, std::size_t blockWords) {
-    using Word = CompiledNetlist::Word;
-    for (int bit = 0; bit < totalBits; ++bit) {
-        Word* words = inputWords.data() + static_cast<std::size_t>(bit) * blockWords;
-        if (bit < 6) {
-            for (std::size_t w = 0; w < blockWords; ++w)
-                words[w] = kExhaustiveLanePattern[static_cast<std::size_t>(bit)];
-        } else if (static_cast<std::uint64_t>(1) << (bit - 6) < blockWords) {
-            for (std::size_t w = 0; w < blockWords; ++w)
-                words[w] = (w >> (bit - 6)) & 1u ? ~Word{0} : Word{0};
-        } else {
-            const Word v = (base >> bit) & 1u ? ~Word{0} : Word{0};
-            for (std::size_t w = 0; w < blockWords; ++w) words[w] = v;
         }
     }
 }

@@ -11,33 +11,12 @@ namespace axf::circuit::kernels {
 
 using Word = std::uint64_t;
 
-/// The compile-time width set: words per slot of the wide configurations.
-/// Every backend instantiates its full kernel family (generic, unrolled,
-/// chained, lane codecs) once per width; `CompiledNetlist` picks one width per
-/// netlist at compile time (footprint heuristic / AXF_FORCE_WIDTH /
-/// ScopedWidthOverride) and can still be run at any of them.  Width is
-/// purely an execution-shape knob: results are bit-identical across the
-/// whole set, pinned by differential tests against the W = 4 oracle.
-inline constexpr std::size_t kWidthCount = 3;
-inline constexpr std::array<std::size_t, kWidthCount> kWideWidths = {4, 8, 16};
-
-/// W = 4 (256 lanes): the differential-oracle width and the accumulation
-/// granularity wider widths must reproduce (see error::Accumulator users).
-inline constexpr std::size_t kBaseWideWords = 4;
-inline constexpr std::size_t kBaseWideLanes = kBaseWideWords * 64;
-
-/// W = 16 (1024 lanes): sizing bound for width-agnostic buffers.
-inline constexpr std::size_t kMaxWideWords = 16;
-inline constexpr std::size_t kMaxWideLanes = kMaxWideWords * 64;
-
-constexpr bool isWideWidth(std::size_t words) {
-    return words == 4 || words == 8 || words == 16;
-}
-
-/// Index of a width in `kWideWidths` (and in `Backend::wide`).
-constexpr std::size_t widthIndex(std::size_t words) {
-    return words == 4 ? 0 : words == 8 ? 1 : 2;
-}
+/// Block width of the wide kernels in words per workspace slot: W = 16,
+/// 1024 lanes per dispatch.  Every backend instantiates one generic run
+/// kernel per opcode at this width and at W = 1 (64 lanes: `Simulator`,
+/// toggle-rate estimation), plus the lane codecs.
+inline constexpr std::size_t kBlockWords = 16;
+inline constexpr std::size_t kBlockLanes = kBlockWords * 64;
 
 /// Instruction alphabet of the compiled engine: every logic `GateKind`
 /// plus the fused instructions produced by the peephole pass in
@@ -144,32 +123,21 @@ struct Instr {
 
 /// Evaluates one maximal same-opcode run of `count` instructions against a
 /// workspace of (slotCount * W) words.  The instruction pointer addresses
-/// the first instruction of the run.
-///
-/// Chained kernels additionally require (compile guarantees it) that every
-/// instruction after the first reads the previous instruction's primary
-/// destination as operand `a` — the hot value then rides in a register
-/// through the whole run instead of round-tripping through the workspace
-/// (the latency killer of ripple-carry-style serial chains).
+/// the first instruction of the run; any contiguous sub-range of a run is a
+/// valid call.  Workspaces need only natural `Word` (8-byte) alignment.
 using KernelFn = void (*)(const Instr* instrs, std::uint32_t count, Word* ws);
 
-/// Lane codecs: the one owner of the lane <-> bit-plane layout.  A wide
-/// block carries each bit as a plane of W words (plane-major, where W is
-/// the width of the `WidthTables` the function lives in), lane L in bit
-/// L % 64 of word L / 64.
+/// Lane codecs: the one owner of the lane <-> bit-plane layout.  A block
+/// carries each bit as a plane of kBlockWords words (plane-major), lane L in
+/// bit L % 64 of word L / 64.
 ///
-/// `Encode16Fn` packs one value per lane (W * 64 lanes) into the 16 planes
-/// of bits 0..15; higher value bits are ignored.  `Decode16Fn` /
+/// `Encode16Fn` packs one value per lane (kBlockLanes lanes) into the 16
+/// planes of bits 0..15; higher value bits are ignored.  `Decode16Fn` /
 /// `Decode32Fn` unpack `bits` planes (at most 16 / 32) into one integer
 /// per lane.
 using Encode16Fn = void (*)(const std::uint32_t* values, Word* planes);
 using Decode16Fn = void (*)(const Word* planes, std::size_t bits, std::uint16_t* out);
 using Decode32Fn = void (*)(const Word* planes, std::size_t bits, std::uint32_t* out);
-
-/// Longest run the unrolled ("superblock") kernel variants cover; runs of
-/// `n <= kMaxUnroll` instructions dispatch to a fully unrolled template
-/// instantiation when the compiled netlist is specialized.
-inline constexpr std::uint32_t kMaxUnroll = 4;
 
 /// Builds one kernel row: one function per opcode, in `OpCode` order.  A
 /// brace-init list shorter than `kOpCount` compiles fine (the tail
@@ -185,48 +153,32 @@ constexpr std::array<KernelFn, kOpCount> kernelRow(Fns... fns) {
     return {fns...};
 }
 
-/// Complete kernel family of one backend at one block width W: the generic
-/// per-run kernels, the fully unrolled straight-line variants for runs of
-/// 1..kMaxUnroll instructions (indexed [op][count - 1]; nullptr falls back
-/// to `run`), the register-chained variants, and the lane codecs.
-struct WidthTables {
+/// One ISA backend's kernel family, selected once per process (or forced
+/// per compile).  All backends compute bit-identical results — they differ
+/// only in instruction selection and register shape.
+struct Backend {
     /// Every field is a required argument, so a family that misses one
     /// fails to build (an aggregate brace-init would value-initialize the
     /// missing tail to nullptr).
-    constexpr WidthTables(std::array<KernelFn, kOpCount> run_,
-                          std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> unrolled_,
-                          std::array<KernelFn, kOpCount> chained_, Encode16Fn encode16_,
-                          Decode16Fn decode16_, Decode32Fn decode32_)
-        : run(run_),
-          unrolled(unrolled_),
-          chained(chained_),
+    constexpr Backend(const char* name_, std::array<KernelFn, kOpCount> run_,
+                      std::array<KernelFn, kOpCount> narrow_, Encode16Fn encode16_,
+                      Decode16Fn decode16_, Decode32Fn decode32_)
+        : name(name_),
+          run(run_),
+          narrow(narrow_),
           encode16(encode16_),
           decode16(decode16_),
           decode32(decode32_) {}
 
+    const char* name;
+    /// Per-run kernels at W = kBlockWords (1024 lanes per dispatch).
     std::array<KernelFn, kOpCount> run;
-    std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> unrolled;
-    std::array<KernelFn, kOpCount> chained;
+    /// Per-run kernels at W = 1 (64 lanes; `Simulator`, activity).
+    std::array<KernelFn, kOpCount> narrow;
+    /// Lane codecs at W = kBlockWords.
     Encode16Fn encode16;
     Decode16Fn decode16;
     Decode32Fn decode32;
-};
-
-/// One ISA backend: a complete kernel table per block width, selected once
-/// per process (or forced per compile).  All backends compute bit-identical
-/// results at every width — the tables differ only in instruction
-/// selection and register shape.
-struct Backend {
-    const char* name;
-    /// Wide kernel families, indexed by `widthIndex(W)` for W in
-    /// kWideWidths (4 -> 256, 8 -> 512, 16 -> 1024 lanes per dispatch).
-    std::array<WidthTables, kWidthCount> wide;
-    /// Generic per-run kernels, W = 1 (64 lanes; `Simulator`, activity).
-    std::array<KernelFn, kOpCount> narrow;
-    /// Register-chained W = 1 variants.
-    std::array<KernelFn, kOpCount> narrowChained;
-
-    const WidthTables& at(std::size_t words) const { return wide[widthIndex(words)]; }
 };
 
 /// Backend chosen for this process: the widest ISA the CPU supports
@@ -264,34 +216,6 @@ private:
 /// execute it (selection then falls back to auto-detection).  Exposed so
 /// the warning path is testable without mutating the process environment.
 const Backend* resolveForcedBackend(std::string_view value);
-
-/// Resolves an AXF_FORCE_WIDTH value ("4" / "8" / "16"): the block width
-/// in words, or 0 after a stderr warning when the value is not a member of
-/// the width set (the chooser then falls back to the footprint heuristic).
-std::size_t resolveForcedWidth(std::string_view value);
-
-/// Block width forced via AXF_FORCE_WIDTH, or 0 when unset or invalid.
-/// Parsed once per process.
-std::size_t forcedWidth();
-
-/// Width override currently installed by ScopedWidthOverride (0 = none).
-std::size_t widthOverride();
-
-/// RAII test hook: pins the block width every subsequent
-/// `CompiledNetlist::compile` chooses, overriding both the footprint
-/// heuristic and AXF_FORCE_WIDTH (an explicit `Options::blockWords` still
-/// wins).  Pass 0 to restore automatic choice.  Not for concurrent use
-/// with compilation on other threads.
-class ScopedWidthOverride {
-public:
-    explicit ScopedWidthOverride(std::size_t words);
-    ~ScopedWidthOverride();
-    ScopedWidthOverride(const ScopedWidthOverride&) = delete;
-    ScopedWidthOverride& operator=(const ScopedWidthOverride&) = delete;
-
-private:
-    std::size_t previous_;
-};
 
 /// Per-TU backend accessors; nullptr when the ISA is not compiled in.
 /// (Runtime support is checked by the selection logic, not here.)

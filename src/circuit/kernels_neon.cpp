@@ -1,5 +1,5 @@
 // NEON backend (aarch64).  The generic vector-extension kernels lower to
-// pairs of 128-bit NEON ops per 256-bit slot; Mux/MuxNot* additionally map
+// 128-bit NEON ops, eight per 1024-bit slot; Mux/MuxNot* additionally map
 // naturally onto NEON's bit-select (vbslq), which GCC pattern-matches from
 // the (c & b) | (~c & a) form.  Present as a named backend so
 // AXF_FORCE_BACKEND semantics and the Stats backend field behave the same
@@ -14,7 +14,8 @@ namespace neon_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"neon", kGenericWideTables, kGenericNarrow, kGenericNarrowChained};
+constexpr Backend kBackend = {"neon", kGenericRun, kGenericNarrow,
+                              &encode16Generic, &decode16Generic, &decode32Generic};
 
 }  // namespace neon_impl
 

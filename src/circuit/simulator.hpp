@@ -23,7 +23,7 @@ namespace axf::circuit {
 /// `CompiledNetlist` run at one word per slot, compiled *without* dead-node
 /// pruning so `nodeValues()` still exposes every node (the activity-based
 /// power models depend on that).  Hot paths that sweep many vectors should
-/// prefer `BatchSimulator` (256 lanes per sweep, pruned).
+/// prefer `BatchSimulator` (1024 lanes per sweep, pruned).
 ///
 /// The evaluator keeps a scratch buffer sized to the netlist, so a single
 /// instance is not thread-safe; create one per thread if parallelizing.

@@ -21,18 +21,19 @@ namespace axf::error::detail {
 
 using Word = circuit::CompiledNetlist::Word;
 
-/// Sizing bound for width-agnostic lane buffers.  The evaluation loops
-/// follow each compiled program's *chosen* block width
-/// (`CompiledNetlist::blockWords()`, 4 / 8 / 16 words = 256 / 512 / 1024
-/// lanes) at runtime; only buffer capacities use the maximum.
-inline constexpr std::size_t kMaxWords = circuit::BatchSimulator::kMaxWordsPerBlock;
-inline constexpr std::size_t kMaxLanes = circuit::BatchSimulator::kMaxLanesPerBlock;
+/// Block shape of every evaluation loop (1024 lanes per sweep).
+inline constexpr std::size_t kBlockWords = circuit::BatchSimulator::kBlockWords;
+inline constexpr std::size_t kBlockLanes = circuit::BatchSimulator::kBlockLanes;
 
-/// Accumulation granularity every block width must reproduce: wider blocks
-/// feed the accumulator in 256-lane sub-blocks (ascending), so the chunk
-/// merge sequence — and therefore every IEEE rounding step — is identical
-/// to the W = 4 oracle.
-inline constexpr std::size_t kBaseLanes = circuit::kernels::kBaseWideLanes;
+/// Accumulation granularity, not a width: blocks feed the accumulator in
+/// 256-lane sub-partials (ascending), and sampled analysis draws its
+/// stimulus in 4-word sub-blocks.  This order fixes every IEEE rounding
+/// step and every random draw; the report goldens and the e2ebench
+/// reference fingerprints depend on it.
+inline constexpr std::size_t kSubPartialWords = 4;
+inline constexpr std::size_t kSubPartialLanes = kSubPartialWords * 64;
+static_assert(kBlockWords % kSubPartialWords == 0,
+              "blocks must split into whole accumulation sub-partials");
 
 /// Number of independent accumulation slots; lane i feeds slot i % 8.
 /// Eight parallel chains instead of one serial FP dependency lets the
@@ -141,32 +142,28 @@ struct Accumulator {
     }
 };
 
-/// Decodes output bit-planes of a `blockWords`-wide block into one 16-bit
-/// value per lane (outputs <= 16, the 8x8-multiplier case) through the
-/// runtime-dispatched kernel backend: AVX-512BW masked broadcast-adds when
-/// the CPU has them, the portable sweep otherwise.  Every backend — and
-/// every width — decodes to identical bits.
-inline void decodeOutputsU16(const Word* out, std::size_t outputs, std::uint16_t* approx,
-                             std::size_t blockWords) {
-    circuit::kernels::selectedBackend().at(blockWords).decode16(out, outputs, approx);
+/// Decodes output bit-planes of a block into one 16-bit value per lane
+/// (outputs <= 16, the 8x8-multiplier case) through the runtime-dispatched
+/// kernel backend: AVX-512BW masked broadcast-adds when the CPU has them,
+/// the portable sweep otherwise.  Every backend decodes to identical bits.
+inline void decodeOutputsU16(const Word* out, std::size_t outputs, std::uint16_t* approx) {
+    circuit::kernels::selectedBackend().decode16(out, outputs, approx);
 }
 
-/// Decodes bit-planes (`outputs` planes of `blockWords` words; output or
+/// Decodes bit-planes (`outputs` planes of kBlockWords words; output or
 /// operand planes alike) into one 32-bit value per lane (outputs <= 32);
 /// runtime-dispatched like the 16-bit variant.
-inline void decodeOutputsU32(const Word* out, std::size_t outputs, std::uint32_t* approx,
-                             std::size_t blockWords) {
-    circuit::kernels::selectedBackend().at(blockWords).decode32(out, outputs, approx);
+inline void decodeOutputsU32(const Word* out, std::size_t outputs, std::uint32_t* approx) {
+    circuit::kernels::selectedBackend().decode32(out, outputs, approx);
 }
 
 /// 64-bit decode for wide interfaces (33..64 outputs); branchless so the
 /// compiler can vectorize with variable shifts.
-inline void decodeOutputsU64(const Word* out, std::size_t outputs, std::uint64_t* approx,
-                             std::size_t blockWords) {
-    std::memset(approx, 0, blockWords * 64 * sizeof(std::uint64_t));
+inline void decodeOutputsU64(const Word* out, std::size_t outputs, std::uint64_t* approx) {
+    std::memset(approx, 0, kBlockLanes * sizeof(std::uint64_t));
     for (std::size_t bit = 0; bit < outputs; ++bit) {
-        for (std::size_t w = 0; w < blockWords; ++w) {
-            const Word word = out[bit * blockWords + w];
+        for (std::size_t w = 0; w < kBlockWords; ++w) {
+            const Word word = out[bit * kBlockWords + w];
             std::uint64_t* a = approx + w * 64;
             for (std::size_t l = 0; l < 64; ++l)
                 a[l] += ((word >> l) & 1u) << bit;
@@ -174,39 +171,36 @@ inline void decodeOutputsU64(const Word* out, std::size_t outputs, std::uint64_t
     }
 }
 
-/// Per-chunk workspace: input/output blocks plus decoded lane values,
-/// sized for the widest block.
+/// Per-chunk workspace: input/output blocks plus decoded lane values.
 struct Workspace {
     std::vector<Word> in;
     std::vector<Word> out;
-    alignas(64) std::array<std::uint16_t, kMaxLanes> approx16{};
-    alignas(64) std::array<std::uint32_t, kMaxLanes> approx32{};
-    alignas(64) std::array<std::uint64_t, kMaxLanes> approx64{};
-    alignas(64) std::array<std::uint64_t, kMaxLanes> exact{};
-    alignas(64) std::array<std::uint32_t, kMaxLanes> operandA{};
-    alignas(64) std::array<std::uint32_t, kMaxLanes> operandB{};
+    alignas(64) std::array<std::uint16_t, kBlockLanes> approx16{};
+    alignas(64) std::array<std::uint32_t, kBlockLanes> approx32{};
+    alignas(64) std::array<std::uint64_t, kBlockLanes> approx64{};
+    alignas(64) std::array<std::uint64_t, kBlockLanes> exact{};
+    alignas(64) std::array<std::uint32_t, kBlockLanes> operandA{};
+    alignas(64) std::array<std::uint32_t, kBlockLanes> operandB{};
 };
 
-/// Decodes a `blockWords`-wide output block and accumulates error against
-/// the exact values already filled into `ws.exact`.  Accumulation is
-/// pinned at the 256-lane granularity regardless of block width: each
-/// kBaseLanes sub-block feeds `addBlock` separately in ascending order, so
-/// the slot-chain rounding sequence matches the W = 4 oracle exactly.
+/// Decodes an output block and accumulates error against the exact values
+/// already filled into `ws.exact`.  Each kSubPartialLanes sub-block feeds
+/// `addBlock` separately in ascending order (see kSubPartialWords).
 inline void consumeBlock(const std::vector<Word>& out, std::size_t outputs, std::size_t lanes,
-                         Accumulator& acc, Workspace& ws, std::size_t blockWords) {
+                         Accumulator& acc, Workspace& ws) {
     const auto addSubBlocks = [&](const auto* approx) {
-        for (std::size_t off = 0; off < lanes; off += kBaseLanes)
+        for (std::size_t off = 0; off < lanes; off += kSubPartialLanes)
             acc.addBlock(approx + off, ws.exact.data() + off,
-                         std::min(kBaseLanes, lanes - off));
+                         std::min(kSubPartialLanes, lanes - off));
     };
     if (outputs <= 16) {
-        decodeOutputsU16(out.data(), outputs, ws.approx16.data(), blockWords);
+        decodeOutputsU16(out.data(), outputs, ws.approx16.data());
         addSubBlocks(ws.approx16.data());
     } else if (outputs <= 32) {
-        decodeOutputsU32(out.data(), outputs, ws.approx32.data(), blockWords);
+        decodeOutputsU32(out.data(), outputs, ws.approx32.data());
         addSubBlocks(ws.approx32.data());
     } else {
-        decodeOutputsU64(out.data(), outputs, ws.approx64.data(), blockWords);
+        decodeOutputsU64(out.data(), outputs, ws.approx64.data());
         addSubBlocks(ws.approx64.data());
     }
 }
@@ -251,13 +245,12 @@ inline void fillExactExhaustive(Workspace& ws, const circuit::ArithSignature& si
 /// the analyzers' interface checks enforce), unpacked through the
 /// runtime-dispatched plane decoder.
 inline void fillExactSampled(Workspace& ws, const circuit::ArithSignature& sig,
-                             std::size_t lanes, std::size_t blockWords) {
+                             std::size_t lanes) {
     const auto widthA = static_cast<std::size_t>(sig.widthA);
     std::uint32_t* a = ws.operandA.data();
     std::uint32_t* b = ws.operandB.data();
-    decodeOutputsU32(ws.in.data(), widthA, a, blockWords);
-    decodeOutputsU32(ws.in.data() + widthA * blockWords, static_cast<std::size_t>(sig.widthB), b,
-                     blockWords);
+    decodeOutputsU32(ws.in.data(), widthA, a);
+    decodeOutputsU32(ws.in.data() + widthA * kBlockWords, static_cast<std::size_t>(sig.widthB), b);
     if (sig.op == circuit::ArithOp::Adder) {
         for (std::size_t lane = 0; lane < lanes; ++lane)
             ws.exact[lane] = static_cast<std::uint64_t>(a[lane]) + b[lane];

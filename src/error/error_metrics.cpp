@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/circuit/batch_sim.hpp"
-#include "src/circuit/kernels.hpp"
 #include "src/circuit/simulator.hpp"
 #include "src/error/accumulator.hpp"
 #include "src/util/thread_pool.hpp"
@@ -29,37 +28,30 @@ using namespace error::detail;
 /// Vectors per work chunk.  Fixed (never derived from the thread count) so
 /// the chunk decomposition — and therefore every floating-point merge
 /// order — is identical no matter how many workers execute it.  8192
-/// vectors (32 blocks at the 256-lane baseline, a multiple of every block
-/// size in the width set): coarse enough to amortize scheduling, fine
-/// enough that an exhaustive 8x8 analysis (65,536 vectors) still splits
-/// into 8 chunks.
+/// vectors (8 blocks): coarse enough to amortize scheduling, fine enough
+/// that an exhaustive 8x8 analysis (65,536 vectors) still splits into 8
+/// chunks.
 constexpr std::uint64_t kChunkVectors = 1ull << 13;
-static_assert(kChunkVectors % circuit::CompiledNetlist::kMaxLanesPerBlock == 0,
-              "chunks must decompose into whole blocks at every width");
+static_assert(kChunkVectors % kBlockLanes == 0, "chunks must decompose into whole blocks");
 
 /// Evaluates exhaustive vectors [begin, end); `begin` is block-aligned by
-/// construction (chunk size is a multiple of every block size in the width
-/// set).  The sweep follows the compiled program's chosen block width;
-/// accumulation stays pinned at 256-lane sub-blocks inside consumeBlock,
-/// so results are bit-identical at every width.
+/// construction (the chunk size is a multiple of the block size).
 Accumulator exhaustiveChunk(const CompiledNetlist& compiled, const circuit::ArithSignature& sig,
                             std::uint64_t begin, std::uint64_t end) {
     BatchSimulator sim(compiled);
     Workspace ws;
     const int totalBits = sig.inputWidth();
-    const std::size_t words = compiled.blockWords();
-    const std::size_t blockLanes = compiled.blockLanes();
-    ws.in.resize(static_cast<std::size_t>(totalBits) * words);
-    ws.out.resize(compiled.outputCount() * words);
+    ws.in.resize(static_cast<std::size_t>(totalBits) * kBlockWords);
+    ws.out.resize(compiled.outputCount() * kBlockWords);
 
     Accumulator acc;
-    for (std::uint64_t base = begin; base < end; base += blockLanes) {
+    for (std::uint64_t base = begin; base < end; base += kBlockLanes) {
         const std::size_t lanes =
-            static_cast<std::size_t>(std::min<std::uint64_t>(blockLanes, end - base));
-        circuit::fillExhaustiveBlock(ws.in, totalBits, base, words);
+            static_cast<std::size_t>(std::min<std::uint64_t>(kBlockLanes, end - base));
+        circuit::fillExhaustiveBlock(ws.in, totalBits, base);
         sim.evaluate(ws.in, ws.out);
         fillExactExhaustive(ws, sig, base, lanes);
-        consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws, words);
+        consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws);
     }
     return acc;
 }
@@ -72,30 +64,27 @@ Accumulator sampledChunk(const CompiledNetlist& compiled, const circuit::ArithSi
     BatchSimulator sim(compiled);
     Workspace ws;
     const int totalBits = sig.inputWidth();
-    const std::size_t words = compiled.blockWords();
-    const std::size_t blockLanes = compiled.blockLanes();
-    ws.in.resize(static_cast<std::size_t>(totalBits) * words);
-    ws.out.resize(compiled.outputCount() * words);
+    ws.in.resize(static_cast<std::size_t>(totalBits) * kBlockWords);
+    ws.out.resize(compiled.outputCount() * kBlockWords);
 
     util::Rng rng(chunkSeed);
     Accumulator acc;
     std::uint64_t remaining = count;
     while (remaining > 0) {
         const std::size_t lanes =
-            static_cast<std::size_t>(std::min<std::uint64_t>(blockLanes, remaining));
-        // The draw stream is pinned to the W = 4 oracle: draws happen in
-        // 4-word (256-lane) sub-blocks, bit-major within each, so lane L
-        // sees the exact word the oracle's block L/256 would have drawn.
-        // (A final partial block may draw surplus words; it is always the
-        // chunk's last block, so nothing else consumes the stream.)
-        constexpr std::size_t kSubWords = circuit::kernels::kBaseWideWords;
-        for (std::size_t sub = 0; sub < words; sub += kSubWords)
+            static_cast<std::size_t>(std::min<std::uint64_t>(kBlockLanes, remaining));
+        // Draws happen in kSubPartialWords (256-lane) sub-blocks, bit-major
+        // within each, so lane L sees the exact word a 256-lane block L/256
+        // would have drawn.  (A final partial block may draw surplus words;
+        // it is always the chunk's last block, so nothing else consumes the
+        // stream.)
+        for (std::size_t sub = 0; sub < kBlockWords; sub += kSubPartialWords)
             for (std::size_t bit = 0; bit < static_cast<std::size_t>(totalBits); ++bit)
-                for (std::size_t w = 0; w < kSubWords; ++w)
-                    ws.in[bit * words + sub + w] = rng.uniformInt(0, ~std::uint64_t{0});
+                for (std::size_t w = 0; w < kSubPartialWords; ++w)
+                    ws.in[bit * kBlockWords + sub + w] = rng.uniformInt(0, ~std::uint64_t{0});
         sim.evaluate(ws.in, ws.out);
-        fillExactSampled(ws, sig, lanes, words);
-        consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws, words);
+        fillExactSampled(ws, sig, lanes);
+        consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws);
         remaining -= lanes;
     }
     return acc;

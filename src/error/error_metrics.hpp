@@ -84,11 +84,10 @@ struct ErrorAnalysisConfig {
 /// bits; outputs LSB-first.  Throws std::invalid_argument on arity mismatch
 /// or an operand wider than 32 bits.
 ///
-/// Runs on the compiled multi-word engine (`BatchSimulator`, 256/512/1024
-/// lanes per sweep following the program's chosen block width),
-/// thread-parallel over input-space chunks per `config.threads`.  Reports
-/// are bit-identical across block widths, kernel backends and thread
-/// counts.
+/// Runs on the compiled multi-word engine (`BatchSimulator`, 1024 lanes
+/// per sweep), thread-parallel over input-space chunks per
+/// `config.threads`.  Reports are bit-identical across kernel backends and
+/// thread counts.
 ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSignature& sig,
                          const ErrorAnalysisConfig& config = {});
 

@@ -28,7 +28,6 @@ const char* ruleId(Rule rule) {
         case Rule::ProgUseBeforeDef: return "CP002";
         case Rule::ProgRedefinition: return "CP003";
         case Rule::ProgRunShape: return "CP004";
-        case Rule::ProgChainClaim: return "CP005";
         case Rule::ProgFusionSemantics: return "CP006";
         case Rule::ProgOutputUndefined: return "CP007";
         case Rule::ProgInterface: return "CP008";
@@ -51,7 +50,6 @@ const char* ruleName(Rule rule) {
         case Rule::ProgUseBeforeDef: return "prog-use-before-def";
         case Rule::ProgRedefinition: return "prog-redefinition";
         case Rule::ProgRunShape: return "prog-run-shape";
-        case Rule::ProgChainClaim: return "prog-chain-claim";
         case Rule::ProgFusionSemantics: return "prog-fusion-semantics";
         case Rule::ProgOutputUndefined: return "prog-output-undefined";
         case Rule::ProgInterface: return "prog-interface";

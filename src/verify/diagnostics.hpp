@@ -36,7 +36,8 @@ enum class Rule : std::uint8_t {
     ProgUseBeforeDef,      ///< CP002 operand plane read before any write
     ProgRedefinition,      ///< CP003 write clobbers an already-defined plane
     ProgRunShape,          ///< CP004 runs do not partition the stream / opcode mismatch
-    ProgChainClaim,        ///< CP005 chained run whose link reads a foreign slot
+    // CP005 (chained-run claim) is retired with the chained kernels; the
+    // other ids keep their numbers.
     ProgFusionSemantics,   ///< CP006 instruction function != source-gate composition
     ProgOutputUndefined,   ///< CP007 output plane never written
     ProgInterface,         ///< CP008 input/output/constant interface malformed

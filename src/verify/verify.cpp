@@ -241,8 +241,7 @@ private:
 /// it stands for: for every assignment of the operand planes' source
 /// nodes, `opEval` of the instruction must equal the `gateEval` cone walk
 /// from the destination's source node down to those (pinned) operands.
-/// Operand-order normalization (the chain scheduler swaps commutative
-/// operands) is transparent here — both sides are functions of *nodes*.
+/// Operand order is transparent here — both sides are functions of *nodes*.
 void checkFusionSemantics(const ProgramView& program, const Netlist& source,
                           const VerifyOptions& options, Diagnostics& d) {
     const std::span<const NodeId> slotNodes = program.slotNodes;
@@ -426,9 +425,8 @@ Diagnostics verifyProgram(const ProgramView& program, const Netlist* source,
             d.add(Rule::ProgOutputUndefined, k, describe("output plane never written: slot", s));
     }
 
-    // Schedule claims (CP004/CP005): the runs must partition the stream
-    // into same-opcode groups, and every chained run's link property must
-    // hold (the chained kernels read operand a from a register).
+    // Schedule (CP004): the runs must partition the stream into same-opcode
+    // groups.
     std::uint32_t expect = 0;
     bool runsCover = true;
     for (std::uint32_t r = 0; r < program.runs.size(); ++r) {
@@ -444,11 +442,6 @@ Diagnostics verifyProgram(const ProgramView& program, const Netlist* source,
                 d.add(Rule::ProgRunShape, r, describe("run opcode disagrees at instruction", i));
                 runsCover = false;
             }
-        if (run.chained)
-            for (std::uint32_t i = run.begin + 1; i < run.end; ++i)
-                if (program.instructions[i].a != program.instructions[i - 1].dst)
-                    d.add(Rule::ProgChainClaim, r,
-                          describe("chain link broken at instruction", i));
         expect = run.end;
     }
     if (runsCover && expect != program.instructions.size())

@@ -64,8 +64,8 @@ struct ProgramView {
 /// every operand plane defined before use (CP002) and written exactly once
 /// (CP003 — with single assignment, plane lifetimes can never clobber live
 /// values), slot ranges (CP001), the schedule's run partition and opcode
-/// grouping (CP004), every chained-run link (CP005), interface shape
-/// (CP008) and output definedness (CP007).  Given the source netlist, the
+/// grouping (CP004), interface shape (CP008) and output definedness
+/// (CP007); CP005 is retired.  Given the source netlist, the
 /// fusion-semantics pass (CP006) additionally proves each instruction —
 /// fused or not — computes exactly the composition of the source gates it
 /// replaced: it enumerates all assignments of the operand planes' source

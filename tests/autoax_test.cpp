@@ -158,13 +158,13 @@ TEST(GaussianAccelerator, ConfigValidation) {
     EXPECT_THROW(accelerator().cost(shortConfig), std::out_of_range);
 }
 
-TEST(BatchAdd16Wide, MatchesScalarSimulationOnEveryBackendAndWidth) {
-    // 1000 lanes leave a partial last block at every width (256 / 512 /
-    // 1024 lanes).  Operands carry 17 bits, like a previous level's
-    // carry-out: the adder sees only bits 0..15 of each.
+TEST(BatchAdd16Wide, MatchesScalarSimulationOnEveryBackend) {
+    // 2500 lanes are two full 1024-lane blocks and a partial last block.
+    // Operands carry 17 bits, like a previous level's carry-out: the adder
+    // sees only bits 0..15 of each.
     const circuit::Netlist adder = gen::loaAdder(16, 6);
     circuit::Simulator scalarSim(adder);
-    constexpr std::size_t kLanes = 1000;
+    constexpr std::size_t kLanes = 2500;
     constexpr std::size_t kGuard = 24;
     constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
     util::Rng rng(0x12);
@@ -177,29 +177,23 @@ TEST(BatchAdd16Wide, MatchesScalarSimulationOnEveryBackendAndWidth) {
     }
     for (const circuit::kernels::Backend* backend : circuit::kernels::availableBackends()) {
         const circuit::kernels::ScopedBackendOverride backendOverride(backend);
-        for (const std::size_t words : circuit::kernels::kWideWidths) {
-            const circuit::kernels::ScopedWidthOverride widthOverride(words);
-            const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(adder);
-            ASSERT_EQ(compiled.blockWords(), words);
-            circuit::BatchSimulator sim(compiled);
-            std::vector<circuit::CompiledNetlist::Word> inWords(
-                32 * circuit::BatchSimulator::kMaxWordsPerBlock);
-            std::vector<circuit::CompiledNetlist::Word> outWords(
-                compiled.outputCount() * circuit::BatchSimulator::kMaxWordsPerBlock);
-            std::vector<std::uint32_t> out(kLanes + kGuard, kSentinel);
-            batchAdd16Wide(sim, a.data(), b.data(), out.data(), kLanes, inWords, outWords);
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                ASSERT_EQ(out[lane], expected[lane])
-                    << backend->name << " W=" << words << " lane " << lane;
-            for (std::size_t lane = kLanes; lane < out.size(); ++lane)
-                EXPECT_EQ(out[lane], kSentinel)
-                    << backend->name << " W=" << words << " wrote past lane " << kLanes;
-        }
+        const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(adder);
+        circuit::BatchSimulator sim(compiled);
+        std::vector<circuit::CompiledNetlist::Word> inWords(32 *
+                                                            circuit::BatchSimulator::kBlockWords);
+        std::vector<circuit::CompiledNetlist::Word> outWords(
+            compiled.outputCount() * circuit::BatchSimulator::kBlockWords);
+        std::vector<std::uint32_t> out(kLanes + kGuard, kSentinel);
+        batchAdd16Wide(sim, a.data(), b.data(), out.data(), kLanes, inWords, outWords);
+        for (std::size_t lane = 0; lane < kLanes; ++lane)
+            ASSERT_EQ(out[lane], expected[lane]) << backend->name << " lane " << lane;
+        for (std::size_t lane = kLanes; lane < out.size(); ++lane)
+            EXPECT_EQ(out[lane], kSentinel) << backend->name << " wrote past lane " << kLanes;
     }
     // A program without the 16+16-bit interface is rejected, not misread.
     const circuit::CompiledNetlist narrow = circuit::CompiledNetlist::compile(gen::loaAdder(8, 4));
     circuit::BatchSimulator narrowSim(narrow);
-    std::vector<circuit::CompiledNetlist::Word> words(32 * circuit::BatchSimulator::kMaxWordsPerBlock);
+    std::vector<circuit::CompiledNetlist::Word> words(32 * circuit::BatchSimulator::kBlockWords);
     std::vector<std::uint32_t> out(kLanes);
     EXPECT_THROW(batchAdd16Wide(narrowSim, a.data(), b.data(), out.data(), kLanes, words, words),
                  std::invalid_argument);

@@ -35,8 +35,8 @@ Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
     return net;
 }
 
-/// Exhaustively cross-checks BatchSimulator (blockLanes()-lane blocks at
-/// the program's chosen width, pruned compile) against
+/// Exhaustively cross-checks BatchSimulator (blockLanes()-lane blocks,
+/// pruned compile) against
 /// Simulator::evaluateScalar (all-nodes compile) over the full input space
 /// of the netlist.
 void crossCheckExhaustive(const Netlist& net) {
@@ -53,7 +53,7 @@ void crossCheckExhaustive(const Netlist& net) {
     std::vector<CompiledNetlist::Word> in(net.inputCount() * W);
     std::vector<CompiledNetlist::Word> out(net.outputCount() * W);
     for (std::uint64_t base = 0; base < space; base += batch.blockLanes()) {
-        fillExhaustiveBlock(in, totalBits, base, W);
+        fillExhaustiveBlock(in, totalBits, base);
         batch.evaluate(in, out);
         const std::uint64_t lanes =
             std::min<std::uint64_t>(batch.blockLanes(), space - base);
@@ -138,10 +138,10 @@ TEST(BatchSimulator, ShapeChecks) {
     EXPECT_THROW(sim.evaluate(in, badOut), std::invalid_argument);
 }
 
-TEST(FillExhaustiveBlock, W1AndW4AgainstScalarBitReference) {
+TEST(FillExhaustiveBlock, W1AndBlockWidthAgainstScalarBitReference) {
     // Scalar reference: bit `bit` of lane L must equal bit `bit` of the
     // enumerated index (base + L).  Checked for W=1 (no word-index bits)
-    // and W=4 (pattern bits 0..5, word-index bits 6..7, base bits 8+) over
+    // and W=16 (pattern bits 0..5, word-index bits 6..9, base bits 10+) over
     // every bit class and several bases.
     const auto check = [](auto widthTag, int totalBits, std::uint64_t base) {
         constexpr std::size_t W = decltype(widthTag)::value;
@@ -157,9 +157,9 @@ TEST(FillExhaustiveBlock, W1AndW4AgainstScalarBitReference) {
             }
         }
     };
-    for (const std::uint64_t base : {0ull, 256ull, 1536ull, 65280ull}) {
-        check(std::integral_constant<std::size_t, 4>{}, 16, base);
-        check(std::integral_constant<std::size_t, 4>{}, 10, base);
+    for (const std::uint64_t base : {0ull, 1024ull, 64512ull}) {
+        check(std::integral_constant<std::size_t, CompiledNetlist::kBlockWords>{}, 16, base);
+        check(std::integral_constant<std::size_t, CompiledNetlist::kBlockWords>{}, 11, base);
     }
     for (const std::uint64_t base : {0ull, 64ull, 960ull}) {
         check(std::integral_constant<std::size_t, 1>{}, 10, base);
@@ -197,10 +197,10 @@ TEST(CompiledNetlist, RunW1MatchesWideRunOnRandomNetlists) {
 }
 
 TEST(FillExhaustiveBlock, LaneCarriesItsIndex) {
-    constexpr std::size_t W = kernels::kBaseWideWords;
-    const int totalBits = 10;
+    constexpr std::size_t W = CompiledNetlist::kBlockWords;
+    const int totalBits = 12;
     std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
-    const std::uint64_t base = 512;  // multiple of 256
+    const std::uint64_t base = 2048;  // multiple of the 1024-lane block
     fillExhaustiveBlock<W>(in, totalBits, base);
     for (std::uint64_t lane = 0; lane < W * 64; ++lane) {
         std::uint64_t value = 0;

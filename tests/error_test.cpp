@@ -178,6 +178,15 @@ TEST(ErrorMetrics, SampledReportsMatchGoldenBits) {
                                           0x3feca11bfd44f308, 0x4098a678263ab597, 3000, 0}));
 }
 
+TEST(ErrorMetrics, ExhaustiveReportMatchesGoldenBits) {
+    // Pins the exhaustive engine's output itself: block enumeration, the
+    // 256-lane sub-partial accumulation order and the output decode.
+    EXPECT_EQ(reportBits(analyzeError(gen::truncatedMultiplier(8, 4), multiplierSignature(8))),
+              (std::vector<std::uint64_t>{0x3f28b149e27b13ac, 0x4028800000000000,
+                                          0x4048800000000000, 0x3f76ecccb6109f9c,
+                                          0x3fea000000000000, 0x406f080000000000, 65536, 1}));
+}
+
 TEST(ErrorMetrics, WorstCaseDominatesMean) {
     for (int k : {2, 4, 6}) {
         const ErrorReport r = analyzeError(gen::truncatedAdder(8, k), adderSignature(8));

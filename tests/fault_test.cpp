@@ -34,13 +34,11 @@ using circuit::CompiledNetlist;
 using circuit::GateKind;
 using circuit::Netlist;
 using Word = CompiledNetlist::Word;
-// Direct run/runWithFaults calls here use the 4-word base width
-// explicitly: run<W> is valid at any width in the set regardless of the
-// program's chosen blockWords().  Wider widths are covered by width_test.
-constexpr std::size_t kW = circuit::kernels::kBaseWideWords;
+// Direct run/runWithFaults calls here use the block width.
+constexpr std::size_t kW = CompiledNetlist::kBlockWords;
 
-/// Aligned caller-owned workspace for direct CompiledNetlist::run /
-/// runWithFaults calls (mirrors what BatchSimulator does internally).
+/// 64-byte-aligned caller-owned workspace for direct CompiledNetlist::run /
+/// runWithFaults calls (the kernels need only 8-byte alignment).
 struct Scratch {
     explicit Scratch(const CompiledNetlist& c) : storage(c.workspaceWords(kW) + 8, 0) {
         const std::size_t mis = reinterpret_cast<std::uintptr_t>(storage.data()) % 64;
@@ -144,8 +142,8 @@ TEST(FaultInjection, RunWithFaultsMatchesMutatedNetlistOracleAllBackends) {
 }
 
 TEST(FaultInjection, LaneGroupMaskIsolatesFaultsPerWord) {
-    // The sampled campaign's packing: inputs replicated across all four
-    // words, three different faults masked to words 1..3, word 0 clean.
+    // The sampled campaign's packing: inputs replicated across every
+    // word, three different faults masked to words 1..3, word 0 clean.
     // Each word of the output must match the corresponding oracle.
     const Netlist net = gen::truncatedMultiplier(6, 2);
     const CompiledNetlist compiled = CompiledNetlist::compile(net);
@@ -434,6 +432,29 @@ TEST(FaultCampaign, SampledReportMatchesGoldenBits) {
     std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over every serialized byte
     for (const std::uint8_t byte : serialized(report)) digest = (digest ^ byte) * 1099511628211ull;
     EXPECT_EQ(digest, 0x381f24e5f3e3fe30u);
+}
+
+TEST(FaultCampaign, ReportsMatchGoldenDigestAtAnyThreadCount) {
+    // Pins the exhaustive cone replay and the sampled lane-group sweep
+    // (blockWords() - 1 faults per pass, 256-lane sub-partials) to the
+    // bytes they output, at every thread count.
+    const Netlist net = gen::truncatedMultiplier(6, 2);
+    const circuit::ArithSignature sig = gen::multiplierSignature(6);
+    for (const bool exhaustive : {true, false}) {
+        CampaignConfig config;
+        if (!exhaustive) {
+            config.analysis.exhaustiveLimit = 1;
+            config.analysis.sampleCount = 1u << 9;
+        }
+        const std::uint64_t golden = exhaustive ? 0xe64a588914e13e60u : 0x9d6ae1e0799f2397u;
+        for (const int threads : {1, 0, 4}) {
+            config.analysis.threads = threads;
+            std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over every serialized byte
+            for (const std::uint8_t byte : serialized(analyzeResilience(net, sig, config)))
+                digest = (digest ^ byte) * 1099511628211ull;
+            EXPECT_EQ(digest, golden) << "threads=" << threads << " exhaustive=" << exhaustive;
+        }
+    }
 }
 
 TEST(FaultObjective, CgpSearchProblemGrowsThirdObjective) {

@@ -1,10 +1,13 @@
 // Kernel-backend dispatch and opcode-fusion tests: every backend the CPU
 // can execute must produce bit-identical results for raw runs, for whole
-// ErrorReports and for a complete AutoAxFpgaFlow::Result; the peephole
-// rewrites must preserve semantics gate-for-gate.
+// ErrorReports and for a complete AutoAxFpgaFlow::Result (whose bits are
+// also pinned to a golden digest); the peephole rewrites must preserve
+// semantics gate-for-gate; a forced-backend value the CPU cannot honour
+// warns and falls back.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <string>
 #include <vector>
@@ -68,7 +71,7 @@ void crossCheck(const Netlist& net, const CompiledNetlist& compiled) {
     std::vector<CompiledNetlist::Word> in(net.inputCount() * W);
     std::vector<CompiledNetlist::Word> out(net.outputCount() * W);
     for (std::uint64_t base = 0; base < space; base += batch.blockLanes()) {
-        fillExhaustiveBlock(in, totalBits, base, W);
+        fillExhaustiveBlock(in, totalBits, base);
         batch.evaluate(in, out);
         const std::uint64_t lanes =
             std::min<std::uint64_t>(batch.blockLanes(), space - base);
@@ -79,41 +82,39 @@ void crossCheck(const Netlist& net, const CompiledNetlist& compiled) {
     }
 }
 
-TEST(KernelCodecs, MatchScalarBitReferenceOnEveryBackendAndWidth) {
+TEST(KernelCodecs, MatchScalarBitReferenceOnEveryBackend) {
     using Word = CompiledNetlist::Word;
+    constexpr std::size_t kWords = kernels::kBlockWords;
+    constexpr std::size_t kLanes = kernels::kBlockLanes;
     util::Rng rng(0xC0DEC);
     // Full 32-bit lane values: the encoder must ignore bits >= 16.
-    std::vector<std::uint32_t> values(kernels::kMaxWideLanes);
+    std::vector<std::uint32_t> values(kLanes);
     for (std::uint32_t& v : values) v = static_cast<std::uint32_t>(rng.uniformInt(0, ~0u));
-    std::vector<Word> randomPlanes(32 * kernels::kMaxWideWords);
+    std::vector<Word> randomPlanes(32 * kWords);
     for (Word& p : randomPlanes) p = rng.uniformInt(0, ~Word{0});
 
     for (const kernels::Backend* backend : kernels::availableBackends()) {
-        for (const std::size_t words : kernels::kWideWidths) {
-            const kernels::WidthTables& codec = backend->at(words);
-            const std::size_t lanes = words * 64;
-            const std::string where = std::string(backend->name) + " W=" + std::to_string(words);
+        const std::string where = backend->name;
 
-            std::vector<Word> encoded(16 * words, 0xA5A5A5A5A5A5A5A5ull);
-            codec.encode16(values.data(), encoded.data());
-            for (std::size_t lane = 0; lane < lanes; ++lane)
-                ASSERT_EQ(laneValue(encoded.data(), words, 16, lane), values[lane] & 0xFFFFu)
-                    << where << " encode16 lane " << lane;
+        std::vector<Word> encoded(16 * kWords, 0xA5A5A5A5A5A5A5A5ull);
+        backend->encode16(values.data(), encoded.data());
+        for (std::size_t lane = 0; lane < kLanes; ++lane)
+            ASSERT_EQ(laneValue(encoded.data(), kWords, 16, lane), values[lane] & 0xFFFFu)
+                << where << " encode16 lane " << lane;
 
-            for (const std::size_t bits : {1u, 7u, 16u}) {
-                std::vector<std::uint16_t> decoded(lanes, 0xBEEF);
-                codec.decode16(randomPlanes.data(), bits, decoded.data());
-                for (std::size_t lane = 0; lane < lanes; ++lane)
-                    ASSERT_EQ(decoded[lane], laneValue(randomPlanes.data(), words, bits, lane))
-                        << where << " decode16 bits=" << bits << " lane " << lane;
-            }
-            for (const std::size_t bits : {1u, 17u, 32u}) {
-                std::vector<std::uint32_t> decoded(lanes, 0xDEADBEEFu);
-                codec.decode32(randomPlanes.data(), bits, decoded.data());
-                for (std::size_t lane = 0; lane < lanes; ++lane)
-                    ASSERT_EQ(decoded[lane], laneValue(randomPlanes.data(), words, bits, lane))
-                        << where << " decode32 bits=" << bits << " lane " << lane;
-            }
+        for (const std::size_t bits : {1u, 7u, 16u}) {
+            std::vector<std::uint16_t> decoded(kLanes, 0xBEEF);
+            backend->decode16(randomPlanes.data(), bits, decoded.data());
+            for (std::size_t lane = 0; lane < kLanes; ++lane)
+                ASSERT_EQ(decoded[lane], laneValue(randomPlanes.data(), kWords, bits, lane))
+                    << where << " decode16 bits=" << bits << " lane " << lane;
+        }
+        for (const std::size_t bits : {1u, 17u, 32u}) {
+            std::vector<std::uint32_t> decoded(kLanes, 0xDEADBEEFu);
+            backend->decode32(randomPlanes.data(), bits, decoded.data());
+            for (std::size_t lane = 0; lane < kLanes; ++lane)
+                ASSERT_EQ(decoded[lane], laneValue(randomPlanes.data(), kWords, bits, lane))
+                    << where << " decode32 bits=" << bits << " lane " << lane;
         }
     }
 }
@@ -134,6 +135,20 @@ TEST(KernelBackends, PortableAlwaysAvailable) {
 TEST(KernelBackends, UnknownNameRejected) {
     EXPECT_EQ(kernels::backendByName("bogus"), nullptr);
     EXPECT_NE(kernels::backendByName("portable"), nullptr);
+}
+
+TEST(ForcedSelection, UnknownBackendWarnsAndFallsBack) {
+    testing::internal::CaptureStderr();
+    const kernels::Backend* backend = kernels::resolveForcedBackend("bogus");
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(backend, nullptr);
+    EXPECT_NE(warning.find("AXF_FORCE_BACKEND=bogus"), std::string::npos) << warning;
+    EXPECT_NE(warning.find("falling back"), std::string::npos) << warning;
+
+    // A known name resolves silently.
+    testing::internal::CaptureStderr();
+    EXPECT_NE(kernels::resolveForcedBackend("portable"), nullptr);
+    EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
 }
 
 TEST(KernelBackends, RunsBitIdenticalAcrossBackends) {
@@ -278,25 +293,6 @@ TEST(KernelFusion, GeneratorCircuitsShrink) {
     crossCheck(net, unfused);
 }
 
-TEST(KernelFusion, SpecializedPlanBitIdentical) {
-    const Netlist net = gen::wallaceMultiplier(16);  // above the auto threshold
-    const CompiledNetlist generic = CompiledNetlist::compile(net);
-    ASSERT_FALSE(generic.specialized());
-    CompiledNetlist forced = CompiledNetlist::compile(net);
-    forced.specialize();
-    ASSERT_TRUE(forced.specialized());
-    BatchSimulator a(generic), b(forced);
-    ASSERT_EQ(generic.blockWords(), forced.blockWords());
-    const std::size_t W = generic.blockWords();
-    std::vector<CompiledNetlist::Word> in(net.inputCount() * W);
-    util::Rng rng(0x77);
-    for (auto& w : in) w = rng.uniformInt(0, ~std::uint64_t{0});
-    std::vector<CompiledNetlist::Word> outA(net.outputCount() * W), outB(outA.size());
-    a.evaluate(in, outA);
-    b.evaluate(in, outB);
-    EXPECT_EQ(outA, outB);
-}
-
 TEST(KernelBackends, ErrorReportsBitIdenticalAcrossBackends) {
     const Netlist mul = gen::truncatedMultiplier(8, 4);
     const auto mulSig = gen::multiplierSignature(8);
@@ -325,36 +321,69 @@ TEST(KernelBackends, ErrorReportsBitIdenticalAcrossBackends) {
     }
 }
 
-TEST(KernelBackends, FlowResultBitIdenticalAcrossBackends) {
-    // A whole AutoAxFpgaFlow::Result (Sobel workload: adder menu only, the
-    // cheapest full pipeline), re-run per backend from component
-    // characterization up — every quality figure must be the same bits.
-    const auto runFlow = [] {
-        std::vector<autoax::Component> adders;
-        for (auto net : {gen::rippleCarryAdder(16), gen::loaAdder(16, 8)}) {
-            autoax::Component c;
-            c.name = net.name();
-            c.signature = gen::adderSignature(16);
-            c.error = error::analyzeError(net, c.signature);
-            c.fpga = synth::FpgaFlow().implement(net);
-            c.netlist = std::move(net);
-            adders.push_back(std::move(c));
-        }
-        autoax::SobelAccelerator model(std::move(adders));
-        autoax::AutoAxFpgaFlow::Config cfg;
-        cfg.trainConfigs = 6;
-        cfg.hillIterations = 20;
-        cfg.archiveSeed = 4;
-        cfg.archiveCap = 12;
-        cfg.imageSize = 32;
-        cfg.sceneCount = 1;
-        cfg.threads = 1;
-        return autoax::AutoAxFpgaFlow(cfg).run(model);
+/// A whole AutoAxFpgaFlow::Result (Sobel workload: adder menu only, the
+/// cheapest full pipeline), from component characterization up.
+autoax::AutoAxFpgaFlow::Result runSobelFlow() {
+    std::vector<autoax::Component> adders;
+    for (auto net : {gen::rippleCarryAdder(16), gen::loaAdder(16, 8)}) {
+        autoax::Component c;
+        c.name = net.name();
+        c.signature = gen::adderSignature(16);
+        c.error = error::analyzeError(net, c.signature);
+        c.fpga = synth::FpgaFlow().implement(net);
+        c.netlist = std::move(net);
+        adders.push_back(std::move(c));
+    }
+    autoax::SobelAccelerator model(std::move(adders));
+    autoax::AutoAxFpgaFlow::Config cfg;
+    cfg.trainConfigs = 6;
+    cfg.hillIterations = 20;
+    cfg.archiveSeed = 4;
+    cfg.archiveCap = 12;
+    cfg.imageSize = 32;
+    cfg.sceneCount = 1;
+    cfg.threads = 1;
+    return autoax::AutoAxFpgaFlow(cfg).run(model);
+}
+
+/// FNV-1a over every field of a flow result, doubles as their bit patterns.
+std::uint64_t flowDigest(const autoax::AutoAxFpgaFlow::Result& r) {
+    std::uint64_t h = 1469598103934665603ull;
+    const auto add = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte)
+            h = (h ^ ((v >> (8 * byte)) & 0xFF)) * 1099511628211ull;
     };
-    const autoax::AutoAxFpgaFlow::Result ref = runFlow();
+    const auto addConfigs = [&](const std::vector<autoax::EvaluatedConfig>& configs) {
+        add(configs.size());
+        for (const autoax::EvaluatedConfig& e : configs) {
+            for (const int choice : e.config.choice) add(static_cast<std::uint64_t>(choice));
+            add(std::bit_cast<std::uint64_t>(e.ssim));
+            add(std::bit_cast<std::uint64_t>(e.cost.lutCount));
+            add(std::bit_cast<std::uint64_t>(e.cost.powerMw));
+            add(std::bit_cast<std::uint64_t>(e.cost.latencyNs));
+            add(std::bit_cast<std::uint64_t>(e.cost.synthSeconds));
+        }
+    };
+    add(std::bit_cast<std::uint64_t>(r.designSpaceSize));
+    addConfigs(r.trainingSet);
+    add(r.scenarios.size());
+    for (const autoax::AutoAxFpgaFlow::ScenarioResult& s : r.scenarios) {
+        add(static_cast<std::uint64_t>(s.param));
+        addConfigs(s.autoax);
+        addConfigs(s.random);
+        add(s.estimatorQueries);
+        add(s.realEvaluations);
+    }
+    add(r.totalRealEvaluations);
+    return h;
+}
+
+TEST(KernelBackends, FlowResultBitIdenticalAcrossBackends) {
+    // Re-run per backend: every quality figure must be the same bits.
+    const autoax::AutoAxFpgaFlow::Result ref = runSobelFlow();
     for (const kernels::Backend* backend : kernels::availableBackends()) {
         kernels::ScopedBackendOverride override(backend);
-        const autoax::AutoAxFpgaFlow::Result r = runFlow();
+        const autoax::AutoAxFpgaFlow::Result r = runSobelFlow();
         EXPECT_EQ(r.totalRealEvaluations, ref.totalRealEvaluations) << backend->name;
         ASSERT_EQ(r.trainingSet.size(), ref.trainingSet.size()) << backend->name;
         for (std::size_t i = 0; i < ref.trainingSet.size(); ++i) {
@@ -375,6 +404,12 @@ TEST(KernelBackends, FlowResultBitIdenticalAcrossBackends) {
             }
         }
     }
+}
+
+TEST(KernelBackends, FlowResultMatchesGoldenDigest) {
+    // Pins the Sobel flow's output itself, not just agreement between
+    // backends: every SSIM, cost and chosen configuration.
+    EXPECT_EQ(flowDigest(runSobelFlow()), 0x7b641d38eb4162bcu);
 }
 
 }  // namespace

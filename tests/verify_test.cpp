@@ -125,14 +125,6 @@ TEST(VerifyProgram, UnprunedCompileIsClean) {
     EXPECT_EQ(d.errorCount(), 0u) << d.summary();
 }
 
-TEST(VerifyProgram, SpecializedProgramIsClean) {
-    const Netlist net = gen::rippleCarryAdder(16);
-    CompiledNetlist compiled = CompiledNetlist::compile(net);
-    compiled.specialize();
-    const Diagnostics d = verifyProgram(compiled, &net);
-    EXPECT_EQ(d.errorCount(), 0u) << d.summary();
-}
-
 // ---------------------------------------------------------------------------
 // Netlist mutation negatives (raw-span front door: the builder cannot
 // construct corrupt IR, serialized/ingested streams can)
@@ -306,40 +298,6 @@ TEST(VerifyProgramMutation, BrokenRunPartition) {
     ProgramCopy q(CompiledNetlist::compile(gen::rippleCarryAdder(4)));
     q.runs.pop_back();  // stream no longer covered
     EXPECT_TRUE(verifyProgram(q.view()).has(Rule::ProgRunShape));
-}
-
-TEST(VerifyProgramMutation, FalseChainClaim) {
-    ProgramCopy p(CompiledNetlist::compile(gen::rippleCarryAdder(8)));
-    bool mutated = false;
-    for (CompiledNetlist::Run& run : p.runs) {
-        if (run.end - run.begin < 2) continue;
-        if (run.chained) {
-            // Break one link: operand a of the second instruction no
-            // longer reads its predecessor's destination.
-            Instr& ins = p.instructions[run.begin + 1];
-            for (const std::uint32_t s : p.inputSlots) {
-                if (s != p.instructions[run.begin].dst) {
-                    ins.a = s;
-                    mutated = true;
-                    break;
-                }
-            }
-        } else {
-            run.chained = true;  // claim a chain that does not exist
-            // Claim only holds if links accidentally line up; ensure not.
-            bool links = true;
-            for (std::uint32_t i = run.begin + 1; i < run.end; ++i)
-                links = links && p.instructions[i].a == p.instructions[i - 1].dst;
-            if (links) {
-                run.chained = false;
-                continue;
-            }
-            mutated = true;
-        }
-        if (mutated) break;
-    }
-    ASSERT_TRUE(mutated) << "no multi-instruction run to corrupt";
-    EXPECT_TRUE(verifyProgram(p.view()).has(Rule::ProgChainClaim));
 }
 
 TEST(VerifyProgramMutation, BadFusionSemantics) {
@@ -546,13 +504,24 @@ TEST(VerifyHook, OverrideRestores) {
 
 TEST(VerifyHook, ThrowIfErrorsCarriesRuleId) {
     Diagnostics d;
-    d.add(Rule::ProgChainClaim, 3, "broken");
+    d.add(Rule::ProgRunShape, 3, "broken");
     try {
         throwIfErrors(d, "test");
         FAIL() << "expected logic_error";
     } catch (const std::logic_error& e) {
-        EXPECT_NE(std::string(e.what()).find("CP005"), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("CP004"), std::string::npos) << e.what();
     }
+}
+
+TEST(VerifyHook, ProgramRuleIdsKeepTheirNumbers) {
+    // CP005 (the chained-run claim) is retired; no other id moves.
+    EXPECT_STREQ(ruleId(Rule::ProgSlotRange), "CP001");
+    EXPECT_STREQ(ruleId(Rule::ProgUseBeforeDef), "CP002");
+    EXPECT_STREQ(ruleId(Rule::ProgRedefinition), "CP003");
+    EXPECT_STREQ(ruleId(Rule::ProgRunShape), "CP004");
+    EXPECT_STREQ(ruleId(Rule::ProgFusionSemantics), "CP006");
+    EXPECT_STREQ(ruleId(Rule::ProgOutputUndefined), "CP007");
+    EXPECT_STREQ(ruleId(Rule::ProgInterface), "CP008");
 }
 
 TEST(VerifyCache, LintOnLoadRejectsCorruptNetlists) {

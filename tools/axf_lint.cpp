@@ -20,8 +20,8 @@
 //
 // Flags: --werror (warnings fail), --quiet (findings only), --no-verify
 // (skip program verification), --stats (print per-netlist compiled-plan
-// statistics: backend, block width, instructions, runs, fusion), --json
-// (with --stats: machine-readable axf-lint-stats.v1 JSON on stdout instead
+// statistics: backend, instructions, runs, fusion), --json
+// (with --stats: machine-readable axf-lint-stats.v2 JSON on stdout instead
 // of text rows — schema documented in the README), --max-diag N.
 //
 // Exit status: 0 clean, 1 error-severity findings (or warnings under
@@ -64,7 +64,7 @@ struct CliOptions {
     bool quiet = false;
     bool verifyPrograms = true;
     bool showStats = false;
-    bool json = false;  // with --stats: axf-lint-stats.v1 JSON on stdout
+    bool json = false;  // with --stats: axf-lint-stats.v2 JSON on stdout
     std::size_t maxDiagnostics = 64;
 };
 
@@ -106,10 +106,10 @@ void appendJsonString(std::string& out, const std::string& s) {
     out += '"';
 }
 
-/// The `axf-lint-stats.v1` document (schema in README): per-netlist
+/// The `axf-lint-stats.v2` document (schema in README): per-netlist
 /// compiled-plan statistics + lint counts, then the run summary.
 void printStatsJson(const Tally& tally) {
-    std::string out = "{\"schema\":\"axf-lint-stats.v1\",\"netlists\":[";
+    std::string out = "{\"schema\":\"axf-lint-stats.v2\",\"netlists\":[";
     bool first = true;
     for (const StatsRow& row : tally.statsRows) {
         if (!first) out += ',';
@@ -118,15 +118,12 @@ void printStatsJson(const Tally& tally) {
         appendJsonString(out, row.subject);
         char buf[512];
         std::snprintf(buf, sizeof buf,
-                      ",\"backend\":\"%s\",\"block_words\":%zu,\"instructions\":%zu,"
-                      "\"runs\":%zu,\"longest_run\":%zu,\"chained_runs\":%zu,"
-                      "\"fused_ops\":%zu,\"gates_folded\":%zu,\"specialized\":%s,"
+                      ",\"backend\":\"%s\",\"instructions\":%zu,\"runs\":%zu,"
+                      "\"longest_run\":%zu,\"fused_ops\":%zu,\"gates_folded\":%zu,"
                       "\"lint_errors\":%zu,\"lint_warnings\":%zu}",
-                      row.stats.backend, row.stats.blockWords, row.stats.instructions,
-                      row.stats.runs, row.stats.longestRun, row.stats.chainedRuns,
-                      row.stats.fusedOps, row.stats.gatesFused,
-                      row.stats.specialized ? "true" : "false", row.lintErrors,
-                      row.lintWarnings);
+                      row.stats.backend, row.stats.instructions, row.stats.runs,
+                      row.stats.longestRun, row.stats.fusedOps, row.stats.gatesFused,
+                      row.lintErrors, row.lintWarnings);
         out += buf;
     }
     char summary[192];
@@ -169,11 +166,10 @@ void checkNetlist(const std::string& subject, const Netlist& netlist, const CliO
             tally.statsRows.push_back(
                 StatsRow{subject, s, lint.errorCount(), lint.warningCount()});
         } else {
-            std::printf(
-                "%s: backend=%s W=%zu instrs=%zu runs=%zu longest=%zu chained=%zu fused=%zu "
-                "gates-folded=%zu%s\n",
-                subject.c_str(), s.backend, s.blockWords, s.instructions, s.runs, s.longestRun,
-                s.chainedRuns, s.fusedOps, s.gatesFused, s.specialized ? " specialized" : "");
+            std::printf("%s: backend=%s instrs=%zu runs=%zu longest=%zu fused=%zu "
+                        "gates-folded=%zu\n",
+                        subject.c_str(), s.backend, s.instructions, s.runs, s.longestRun,
+                        s.fusedOps, s.gatesFused);
         }
     }
     if (!cli.verifyPrograms) return;
