@@ -20,6 +20,7 @@
 
 #include "src/autoax/accelerator.hpp"
 #include "src/autoax/eval_engine.hpp"
+#include "src/autoax/sobel.hpp"
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/simulator.hpp"
 #include "src/error/error_metrics.hpp"
@@ -246,26 +247,29 @@ BENCHMARK(BM_AsicSynthesis);
 
 namespace {
 
+/// A fully characterized menu entry for the autoax kernels' accelerators.
+autoax::Component benchComponent(circuit::Netlist net, circuit::ArithSignature sig) {
+    autoax::Component c;
+    c.name = net.name();
+    c.signature = sig;
+    c.error = error::analyzeError(net, sig);
+    c.fpga = synth::FpgaFlow().implement(net);
+    c.netlist = std::move(net);
+    return c;
+}
+
 /// Small fixed accelerator shared by the autoax kernels (built once; menu
 /// characterization is setup cost, not what the kernel times).
 const autoax::GaussianAccelerator& benchAccelerator() {
     static const autoax::GaussianAccelerator kAccel = [] {
-        const auto make = [](circuit::Netlist net, circuit::ArithSignature sig) {
-            autoax::Component c;
-            c.name = net.name();
-            c.signature = sig;
-            c.error = error::analyzeError(net, sig);
-            c.fpga = synth::FpgaFlow().implement(net);
-            c.netlist = std::move(net);
-            return c;
-        };
         std::vector<autoax::Component> mults;
-        mults.push_back(make(gen::wallaceMultiplier(8), gen::multiplierSignature(8)));
+        mults.push_back(benchComponent(gen::wallaceMultiplier(8), gen::multiplierSignature(8)));
         for (int t : {4, 6})
-            mults.push_back(make(gen::truncatedMultiplier(8, t), gen::multiplierSignature(8)));
+            mults.push_back(
+                benchComponent(gen::truncatedMultiplier(8, t), gen::multiplierSignature(8)));
         std::vector<autoax::Component> adds;
-        adds.push_back(make(gen::rippleCarryAdder(16), gen::adderSignature(16)));
-        adds.push_back(make(gen::loaAdder(16, 6), gen::adderSignature(16)));
+        adds.push_back(benchComponent(gen::rippleCarryAdder(16), gen::adderSignature(16)));
+        adds.push_back(benchComponent(gen::loaAdder(16, 6), gen::adderSignature(16)));
         return autoax::GaussianAccelerator(std::move(mults), std::move(adds));
     }();
     return kAccel;
@@ -277,6 +281,18 @@ std::vector<autoax::AcceleratorConfig> benchConfigs(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
         configs.push_back(benchAccelerator().configSpace().randomConfig(rng));
     return configs;
+}
+
+/// Sobel model over four 16-bit adders (64 configurations).
+const autoax::SobelAccelerator& benchSobel() {
+    static const autoax::SobelAccelerator kSobel = [] {
+        std::vector<autoax::Component> adds;
+        adds.push_back(benchComponent(gen::rippleCarryAdder(16), gen::adderSignature(16)));
+        for (int k : {4, 6, 8})
+            adds.push_back(benchComponent(gen::loaAdder(16, k), gen::adderSignature(16)));
+        return autoax::SobelAccelerator(std::move(adds));
+    }();
+    return kSobel;
 }
 
 }  // namespace
@@ -299,6 +315,24 @@ static void BM_AutoAxQualityBatch(benchmark::State& state) {
                             static_cast<std::int64_t>(configs.size()));
 }
 BENCHMARK(BM_AutoAxQualityBatch);
+
+/// The same batch over the Sobel model: 16 distinct configs x 2 scenes,
+/// memoization off.  items_per_second = config evaluations/sec.
+static void BM_SobelQualityBatch(benchmark::State& state) {
+    const std::vector<img::Image> scenes = {img::syntheticScene(64, 64, 0xA1),
+                                            img::syntheticScene(64, 64, 0xA2)};
+    autoax::EvalEngine engine(benchSobel(), scenes, {.memoize = false});
+    // Distinct configs: the engine folds in-batch duplicates even unmemoized.
+    std::vector<autoax::AcceleratorConfig> configs;
+    for (int i = 0; i < 16; ++i) configs.push_back({{i % 4, i / 4, (i + i / 4) % 4}});
+    for (auto _ : state) {
+        const std::vector<autoax::EvaluatedConfig> results = engine.evaluateBatch(configs);
+        benchmark::DoNotOptimize(results.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(configs.size()));
+}
+BENCHMARK(BM_SobelQualityBatch);
 
 /// The scalar reference path for the same work (one config x scene at a
 /// time, exact reference recomputed per call) — the engine speedup is
@@ -362,6 +396,19 @@ static void BM_Ssim(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_Ssim);
+
+/// One `SsimReference::compare` at 64x64 against a held reference — the
+/// per-scene SSIM step of the evaluation engine.  items_per_second =
+/// compares/sec.
+static void BM_SsimCompare(benchmark::State& state) {
+    const img::SsimReference reference(img::syntheticScene(64, 64, 1));
+    const img::Image distorted = img::syntheticScene(64, 64, 2);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(reference.compare(distorted));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SsimCompare);
 
 namespace {
 

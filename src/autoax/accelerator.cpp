@@ -1,6 +1,7 @@
 #include "src/autoax/accelerator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string_view>
@@ -38,8 +39,11 @@ GaussianAccelerator::GaussianAccelerator(std::vector<Component> multiplierMenu,
         if (c.signature.op != circuit::ArithOp::Multiplier || c.signature.widthA != 8)
             throw std::invalid_argument("GaussianAccelerator: multiplier menu needs 8x8 mults");
     for (const Component& c : adders_)
-        if (c.signature.op != circuit::ArithOp::Adder || c.signature.widthA != 16)
-            throw std::invalid_argument("GaussianAccelerator: adder menu needs 16-bit adders");
+        if (c.signature.op != circuit::ArithOp::Adder || c.signature.widthA != 16 ||
+            c.netlist.inputCount() != 32 || c.netlist.outputCount() > 32)
+            throw std::invalid_argument(
+                "GaussianAccelerator: adder menu needs 16-bit adders (32 inputs, at most 32 "
+                "outputs)");
     space_.groups = {
         {"multiplier", kMultiplierSlots, static_cast<int>(multipliers_.size())},
         {"adder", kAdderSlots, static_cast<int>(adders_.size())},
@@ -98,18 +102,23 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
 }
 
 /// Per-thread evaluation scratch: one rebindable simulator workspace per
-/// adder-tree node plus the shared input/output word blocks.  Rebinding to
-/// the node's program is free when consecutive configs agree on it, so a
-/// workspace held across a batch amortizes to zero setup.
+/// adder-tree node, the tree's operand bit-planes and one node's output
+/// planes.  Rebinding to the node's program is free when consecutive
+/// configs agree on it, so a workspace held across a batch amortizes to
+/// zero setup.
 struct GaussianAccelerator::WorkspaceImpl : AcceleratorModel::Workspace {
     std::vector<BatchSimulator> sims;  ///< one per adder-tree node, lazily built
-    std::vector<Word> inWords;
+    /// 16 operands of 16 planes each, ordered so that node n reads its A|B
+    /// pair from operands 2n, 2n + 1: products 0..7, then the node outputs
+    /// l1a l1b l1c l1d l2a l2b l3 (node n < 7 writes operand 8 + n), then
+    /// product 8 beside l3.
+    std::vector<Word> planes;
     std::vector<Word> outWords;
 };
 
 std::unique_ptr<AcceleratorModel::Workspace> GaussianAccelerator::makeWorkspace() const {
     auto ws = std::make_unique<WorkspaceImpl>();
-    ws->inWords.resize(32 * kBlockWords);
+    ws->planes.resize(16 * 16 * kBlockWords);
     return ws;
 }
 
@@ -133,55 +142,55 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
     }
     if (ws.outWords.size() < maxOutputs * kBlockWords) ws.outWords.resize(maxOutputs * kBlockWords);
 
+    // Tap s reads its multiplier's table at the row of its kernel weight.
     const std::array<int, 9>& weights = kernelWeights();
+    std::array<const std::uint16_t*, 9> taps{};
+    for (int slot = 0; slot < kMultiplierSlots; ++slot) {
+        const auto s = static_cast<std::size_t>(slot);
+        const auto choice = static_cast<std::size_t>(config.choice[multiplierSlot(slot)]);
+        taps[s] = multTables_[choice].data() + (static_cast<std::size_t>(weights[s]) << 8);
+    }
+    const auto operand = [&ws](std::size_t index) {
+        return ws.planes.data() + index * 16 * kBlockWords;
+    };
+    const circuit::kernels::Backend& codec = ws.sims.front().compiled().backend();
+
     img::Image output(input.width(), input.height());
     const std::size_t total = input.pixelCount();
-
     std::array<std::array<std::uint32_t, kBlockLanes>, 9> products{};
-    std::array<std::uint32_t, kBlockLanes> l1a{}, l1b{}, l1c{}, l1d{}, l2a{}, l2b{}, l3{}, sum{};
+    std::array<std::uint32_t, kBlockLanes> sum{};
 
     for (std::size_t base = 0; base < total; base += kBlockLanes) {
         const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
-            const int y = static_cast<int>(pixel / static_cast<std::size_t>(input.width()));
-            int slot = 0;
-            for (int dy = -1; dy <= 1; ++dy) {
-                for (int dx = -1; dx <= 1; ++dx, ++slot) {
-                    const std::uint32_t pix = input.atClamped(x + dx, y + dy);
-                    const std::uint32_t coeff = static_cast<std::uint32_t>(
-                        weights[static_cast<std::size_t>(slot)]);
-                    const std::size_t tableIdx = static_cast<std::size_t>(
-                        config.choice[multiplierSlot(slot)]);
-                    products[static_cast<std::size_t>(slot)][lane] =
-                        multTables_[tableIdx][pix | (coeff << 8)];
-                }
+        gather3x3(input, base, lanes, [&](std::size_t lane, const std::array<std::uint32_t, 9>& n) {
+            for (std::size_t s = 0; s < 9; ++s) products[s][lane] = taps[s][n[s]];
+        });
+        // Lanes are independent: a partial block encodes zeros past `lanes`
+        // and reads back only the first `lanes` results.
+        for (std::size_t s = 0; s < 9; ++s) {
+            std::fill(products[s].begin() + static_cast<std::ptrdiff_t>(lanes), products[s].end(),
+                      0u);
+            codec.encode16(products[s].data(), operand(s < 8 ? s : 15));
+        }
+        // The tree stays in bit-planes.  A consumer sees the 16-bit adder
+        // interface: its producer's planes 0..15, zeros above a narrower
+        // output (a 17th carry-out plane is dropped).
+        for (std::size_t node = 0; node < kAdderSlots; ++node) {
+            BatchSimulator& sim = ws.sims[node];
+            const std::span<Word> out(ws.outWords.data(),
+                                      sim.compiled().outputCount() * kBlockWords);
+            sim.evaluate({operand(2 * node), 32 * kBlockWords}, out);
+            if (node + 1 == kAdderSlots) {
+                codec.decode32(out.data(), sim.compiled().outputCount(), sum.data());
+            } else {
+                Word* next = operand(8 + node);
+                const std::size_t kept = std::min<std::size_t>(out.size(), 16 * kBlockWords);
+                std::fill(std::copy_n(out.data(), kept, next), next + 16 * kBlockWords, Word{0});
             }
         }
-        const auto add = [&](int node, const std::array<std::uint32_t, kBlockLanes>& a,
-                             const std::array<std::uint32_t, kBlockLanes>& b,
-                             std::array<std::uint32_t, kBlockLanes>& out) {
-            BatchSimulator& sim = ws.sims[static_cast<std::size_t>(node)];
-            batchAdd16Wide(sim, a.data(), b.data(), out.data(), lanes, ws.inWords,
-                           ws.outWords);
-        };
-        add(0, products[0], products[1], l1a);
-        add(1, products[2], products[3], l1b);
-        add(2, products[4], products[5], l1c);
-        add(3, products[6], products[7], l1d);
-        add(4, l1a, l1b, l2a);
-        add(5, l1c, l1d, l2b);
-        add(6, l2a, l2b, l3);
-        add(7, l3, products[8], sum);
-
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
-            const int y = static_cast<int>(pixel / static_cast<std::size_t>(input.width()));
-            const std::uint32_t rounded = std::min<std::uint32_t>(255u, sum[lane] >> 4);
-            output.set(x, y, static_cast<std::uint8_t>(rounded));
-        }
+        std::uint8_t* pixels = output.pixels().data() + base;
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            pixels[lane] = static_cast<std::uint8_t>(std::min<std::uint32_t>(255u, sum[lane] >> 4));
     }
     return output;
 }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -142,7 +144,7 @@ public:
 };
 
 /// Applies a 16-bit adder program to `lanes` operand pairs bit-parallel:
-/// the shared datapath step of the accelerator behavioural models, reusable
+/// the lane-domain datapath step of the Sobel model, reusable
 /// for custom accelerators.  Sweeps in blocks of `BatchSimulator::kBlockLanes`
 /// (1024), packing and unpacking lanes through the program's backend codecs
 /// (`kernels::Backend::encode16` / `decode32`).  `inWords` / `outWords` are
@@ -156,5 +158,34 @@ void batchAdd16Wide(circuit::BatchSimulator& sim, const std::uint32_t* a,
                     const std::uint32_t* b, std::uint32_t* out, std::size_t lanes,
                     std::span<circuit::CompiledNetlist::Word> inWords,
                     std::span<circuit::CompiledNetlist::Word> outWords);
+
+/// The 3x3 gather of the accelerator behavioural models: calls
+/// `visit(lane, n)` for the `lanes` pixels from row-major index `base` on,
+/// where `n` is the pixel's border-replicated 3x3 neighbourhood, row-major
+/// (`n[4]` is the pixel itself).  Walks the span as row segments with a
+/// running (x, y): the three clamped row pointers are set once per
+/// segment, and only x - 1 and x + 1 clamp per pixel.
+template <typename Visit>
+void gather3x3(const img::Image& image, std::size_t base, std::size_t lanes, Visit&& visit) {
+    const auto width = static_cast<std::size_t>(image.width());
+    const auto lastRow = static_cast<std::size_t>(image.height()) - 1;
+    const std::uint8_t* pixels = image.pixels().data();
+    std::size_t x = base % width;
+    std::size_t y = base / width;
+    for (std::size_t lane = 0; lane < lanes; x = 0, ++y) {
+        const std::array<const std::uint8_t*, 3> rows = {
+            pixels + (y == 0 ? 0 : y - 1) * width, pixels + y * width,
+            pixels + std::min(y + 1, lastRow) * width};
+        for (const std::size_t end = std::min(lanes, lane + width - x); lane < end; ++lane, ++x) {
+            const std::size_t left = x == 0 ? 0 : x - 1;
+            const std::size_t right = std::min(x + 1, width - 1);
+            const std::array<std::uint32_t, 9> n = {
+                rows[0][left], rows[0][x], rows[0][right],
+                rows[1][left], rows[1][x], rows[1][right],
+                rows[2][left], rows[2][x], rows[2][right]};
+            visit(lane, n);
+        }
+    }
+}
 
 }  // namespace axf::autoax

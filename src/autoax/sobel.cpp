@@ -32,8 +32,11 @@ SobelAccelerator::SobelAccelerator(std::vector<Component> adderMenu)
     : adders_(std::move(adderMenu)) {
     if (adders_.empty()) throw std::invalid_argument("SobelAccelerator: empty adder menu");
     for (const Component& c : adders_)
-        if (c.signature.op != circuit::ArithOp::Adder || c.signature.widthA != 16)
-            throw std::invalid_argument("SobelAccelerator: adder menu needs 16-bit adders");
+        if (c.signature.op != circuit::ArithOp::Adder || c.signature.widthA != 16 ||
+            c.netlist.inputCount() != 32 || c.netlist.outputCount() > 32)
+            throw std::invalid_argument(
+                "SobelAccelerator: adder menu needs 16-bit adders (32 inputs, at most 32 "
+                "outputs)");
     space_.groups = {{"adder", kAdderSlots, static_cast<int>(adders_.size())}};
 
     adderCompiled_.resize(adders_.size());
@@ -87,22 +90,18 @@ img::Image SobelAccelerator::filter(const img::Image& input, const AcceleratorCo
 
     for (std::size_t base = 0; base < total; base += kBlockLanes) {
         const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
-            const int y = static_cast<int>(pixel / static_cast<std::size_t>(input.width()));
-            const auto p = [&](int dx, int dy) {
-                return static_cast<std::uint32_t>(input.atClamped(x + dx, y + dy));
-            };
-            // gx = (p(1,-1)+2p(1,0)+p(1,1)) - (p(-1,-1)+2p(-1,0)+p(-1,1));
-            // the 1-2-1 accumulations are shift-adds (exact in hardware),
-            // the wide subtraction is the approximate adder as
-            // a + (~b) + 1 with the +1 folded into the bias term.
-            ax[lane] = p(1, -1) + 2 * p(1, 0) + p(1, 1) + kBias;
-            bx[lane] = (~(p(-1, -1) + 2 * p(-1, 0) + p(-1, 1)) + 1) & 0xFFFFu;
-            ay[lane] = p(-1, 1) + 2 * p(0, 1) + p(1, 1) + kBias;
-            by[lane] = (~(p(-1, -1) + 2 * p(0, -1) + p(1, -1)) + 1) & 0xFFFFu;
-        }
+        // Over the row-major neighbourhood n (n[4] = the pixel):
+        // gx = (n[2] + 2n[5] + n[8]) - (n[0] + 2n[3] + n[6]) and
+        // gy = (n[6] + 2n[7] + n[8]) - (n[0] + 2n[1] + n[2]).  The 1-2-1
+        // accumulations are shift-adds (exact in hardware), the wide
+        // subtraction is the approximate adder as a + (~b) + 1 with the +1
+        // folded into the bias term.
+        gather3x3(input, base, lanes, [&](std::size_t lane, const std::array<std::uint32_t, 9>& n) {
+            ax[lane] = n[2] + 2 * n[5] + n[8] + kBias;
+            bx[lane] = (~(n[0] + 2 * n[3] + n[6]) + 1) & 0xFFFFu;
+            ay[lane] = n[6] + 2 * n[7] + n[8] + kBias;
+            by[lane] = (~(n[0] + 2 * n[1] + n[2]) + 1) & 0xFFFFu;
+        });
         add(0, ax, bx, gx, lanes);
         add(1, ay, by, gy, lanes);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -112,13 +111,10 @@ img::Image SobelAccelerator::filter(const img::Image& input, const AcceleratorCo
             ady[lane] = static_cast<std::uint32_t>(std::abs(dy)) & 0xFFFFu;
         }
         add(2, adx, ady, mag, lanes);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            output.set(static_cast<int>(pixel % static_cast<std::size_t>(input.width())),
-                       static_cast<int>(pixel / static_cast<std::size_t>(input.width())),
-                       static_cast<std::uint8_t>(
-                           std::min<std::uint32_t>(255u, (mag[lane] & 0xFFFFu) / 4)));
-        }
+        std::uint8_t* pixels = output.pixels().data() + base;
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            pixels[lane] =
+                static_cast<std::uint8_t>(std::min<std::uint32_t>(255u, (mag[lane] & 0xFFFFu) / 4));
     }
     return output;
 }

@@ -1,5 +1,6 @@
 #include "src/img/ssim.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -54,29 +55,33 @@ double SsimReference::compare(const Image& distorted) const {
     double total = 0.0;
     std::size_t windows = 0;
     const std::uint8_t* ref = pixels_.data();
+    const std::uint8_t* dist = distorted.pixels().data();
+    const auto width = static_cast<std::size_t>(width_);
     for (std::size_t yi = 0; yi < ys_.size(); ++yi) {
-        const int y0 = ys_[yi];
+        const auto y0 = static_cast<std::size_t>(ys_[yi]);
         for (std::size_t xi = 0; xi < xs_.size(); ++xi) {
-            const int x0 = xs_[xi];
+            const auto x0 = static_cast<std::size_t>(xs_[xi]);
             const WindowStat& s = stats_[yi * xs_.size() + xi];
-            double sumB = 0, sumBB = 0, sumAB = 0;
-            for (int y = y0; y < y0 + kWindow; ++y) {
-                const std::size_t row =
-                    static_cast<std::size_t>(y) * static_cast<std::size_t>(width_);
-                for (int x = x0; x < x0 + kWindow; ++x) {
-                    const double a = ref[row + static_cast<std::size_t>(x)];
-                    const double b = distorted.at(x, y);
-                    sumB += b;
-                    sumBB += b * b;
-                    sumAB += a * b;
+            // Integer window sums: each is at most 64 * 255^2 < 2^32, and an
+            // integer that size is exact in a double, so these equal the
+            // double accumulation of the same pixels bit for bit.
+            std::uint32_t sumB = 0, sumBB = 0, sumAB = 0;
+            for (std::size_t y = y0; y < y0 + kWindow; ++y) {
+                const std::uint8_t* a = ref + y * width + x0;
+                const std::uint8_t* b = dist + y * width + x0;
+                for (std::size_t x = 0; x < kWindow; ++x) {
+                    const std::uint32_t vb = b[x];
+                    sumB += vb;
+                    sumBB += vb * vb;
+                    sumAB += a[x] * vb;
                 }
             }
             constexpr double n = kWindow * kWindow;
             const double muA = s.sumA / n;
-            const double muB = sumB / n;
+            const double muB = static_cast<double>(sumB) / n;
             const double varA = s.sumAA / n - muA * muA;
-            const double varB = sumBB / n - muB * muB;
-            const double cov = sumAB / n - muA * muB;
+            const double varB = static_cast<double>(sumBB) / n - muB * muB;
+            const double cov = static_cast<double>(sumAB) / n - muA * muB;
             const double value = ((2.0 * muA * muB + kC1) * (2.0 * cov + kC2)) /
                                  ((muA * muA + muB * muB + kC1) * (varA + varB + kC2));
             total += value;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/img/image.hpp"
 #include "src/img/ssim.hpp"
 #include "src/util/rng.hpp"
@@ -103,18 +108,22 @@ TEST(Ssim, BorderArtifactsAreScoredOnUnalignedDimensions) {
     EXPECT_LT(ssim(a, bottomRow), 1.0);
 }
 
-TEST(Ssim, AlignedDimensionsMatchPlainStrideSweep) {
-    // When (dim - 8) % 4 == 0 the tail window coincides with the last
-    // stride position; the score must equal the historical plain sweep.
-    const Image a = syntheticScene(64, 64, 10);
-    const Image b = syntheticScene(64, 64, 11);
+/// Naive SSIM: every window re-summed in doubles straight from both
+/// images, over the stride-4 window starts plus the clamped tail start.
+double naiveSsim(const Image& a, const Image& b) {
     constexpr int kWindow = 8, kStride = 4;
     constexpr double kC1 = (0.01 * 255.0) * (0.01 * 255.0);
     constexpr double kC2 = (0.03 * 255.0) * (0.03 * 255.0);
+    const auto starts = [](int dim) {
+        std::vector<int> v;
+        for (int s = 0; s + kWindow <= dim; s += kStride) v.push_back(s);
+        if (v.back() + kWindow < dim) v.push_back(dim - kWindow);
+        return v;
+    };
     double total = 0.0;
     std::size_t windows = 0;
-    for (int y0 = 0; y0 + kWindow <= 64; y0 += kStride) {
-        for (int x0 = 0; x0 + kWindow <= 64; x0 += kStride) {
+    for (const int y0 : starts(a.height())) {
+        for (const int x0 : starts(a.width())) {
             double sumA = 0, sumB = 0, sumAA = 0, sumBB = 0, sumAB = 0;
             for (int y = y0; y < y0 + kWindow; ++y) {
                 for (int x = x0; x < x0 + kWindow; ++x) {
@@ -135,7 +144,23 @@ TEST(Ssim, AlignedDimensionsMatchPlainStrideSweep) {
             ++windows;
         }
     }
-    EXPECT_DOUBLE_EQ(ssim(a, b), total / static_cast<double>(windows));
+    return total / static_cast<double>(windows);
+}
+
+TEST(Ssim, MatchesNaiveDoubleReferenceBitForBit) {
+    // Aligned shapes (64x64, 52x44, 8x8: the tail start coincides with the
+    // last stride position) and an unaligned one (37x29: tail windows in
+    // both dimensions).  Both the one-shot `ssim` and a held
+    // `SsimReference` must reproduce the naive sums to the last bit.
+    for (const auto& [width, height] :
+         {std::pair{64, 64}, std::pair{52, 44}, std::pair{37, 29}, std::pair{8, 8}}) {
+        const Image a = syntheticScene(width, height, 10);
+        const Image b = syntheticScene(width, height, 11);
+        const std::uint64_t expected = std::bit_cast<std::uint64_t>(naiveSsim(a, b));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ssim(a, b)), expected) << width << "x" << height;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(SsimReference(a).compare(b)), expected)
+            << width << "x" << height;
+    }
 }
 
 TEST(Ssim, ShapeChecks) {

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "src/autoax/dse.hpp"
 #include "src/autoax/sobel.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
+#include "src/img/ssim.hpp"
 #include "src/synth/fpga.hpp"
 
 namespace axf::autoax {
@@ -34,16 +38,90 @@ const SobelAccelerator& sobel() {
     return kSobel;
 }
 
+/// FNV-1a over the pixels of an image.
+std::uint64_t pixelDigest(const img::Image& image) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint8_t p : image.pixels()) h = (h ^ p) * 1099511628211ull;
+    return h;
+}
+
+/// Exact bits of one filtered scene: the output pixels and their SSIM
+/// against the exact filter.
+struct SceneGolden {
+    std::uint64_t pixels;  ///< pixelDigest of `filter`
+    double ssim;           ///< SsimReference(filterExact).compare(filter)
+};
+
 TEST(SobelAccelerator, RejectsBadMenus) {
     EXPECT_THROW(SobelAccelerator({}), std::invalid_argument);
-    std::vector<Component> wrongWidth;
-    wrongWidth.push_back([] {
-        Component c;
-        c.signature = gen::adderSignature(8);
-        c.netlist = gen::rippleCarryAdder(8);
-        return c;
-    }());
-    EXPECT_THROW(SobelAccelerator(std::move(wrongWidth)), std::invalid_argument);
+    const auto menuOf = [](circuit::ArithSignature signature, circuit::Netlist netlist) {
+        std::vector<Component> menu(1);
+        menu[0].signature = signature;
+        menu[0].netlist = std::move(netlist);
+        return menu;
+    };
+    EXPECT_THROW(SobelAccelerator(menuOf(gen::adderSignature(8), gen::rippleCarryAdder(8))),
+                 std::invalid_argument);
+    // A 16-bit signature over an 8-bit netlist: the program lacks the
+    // 16+16 inputs, which must fail at construction, not at filter time.
+    EXPECT_THROW(SobelAccelerator(menuOf(gen::adderSignature(16), gen::rippleCarryAdder(8))),
+                 std::invalid_argument);
+}
+
+TEST(SobelAccelerator, FilterAndSsimMatchGoldens) {
+    // Exact bits of eight random configurations on three scene shapes:
+    // 64x64 (whole 1024-lane blocks), 40x40 (a partial last block) and
+    // 37x29 (rows straddling block boundaries, SSIM tail windows).
+    static constexpr SceneGolden kGolden[] = {
+        // config 0: 64x64, 40x40, 37x29
+        {0x92ab5dce48b75512ull, 0x1.ed0faa69d5009p-1},
+        {0x62081457547af58cull, 0x1.f1e5a6b113b95p-1},
+        {0x6e00a679508cf66dull, 0x1.f615e23724d09p-1},
+        // config 1: 64x64, 40x40, 37x29
+        {0x26ced060438d42f4ull, 0x1.d0400bc4fc468p-1},
+        {0x9daa261d19382d9aull, 0x1.e3f4ca8dff5cfp-1},
+        {0x7b44506f9e34cff7ull, 0x1.e9fadc34aed65p-1},
+        // config 2: 64x64, 40x40, 37x29
+        {0x5b848119290302e0ull, 0x1.ef23f2e2b6024p-1},
+        {0xe408dc541a6f447dull, 0x1.f2dcf1b003b29p-1},
+        {0x9bb5abe7eeeae2dfull, 0x1.f5b5883bfd229p-1},
+        // config 3: 64x64, 40x40, 37x29
+        {0x3fb5bffc935b0a81ull, 0x1.d7dd02c366776p-1},
+        {0x7f95b4ed5f96711aull, 0x1.e4742ccd8eacap-1},
+        {0xd2768a3a8044987dull, 0x1.e6dad046905acp-1},
+        // config 4: 64x64, 40x40, 37x29
+        {0xe1600fd66b87a0ddull, 0x1.69f1c2bfa9775p-1},
+        {0xca0cb68eb21d3937ull, 0x1.679db167f2c8dp-1},
+        {0xeb4203e0df9add84ull, 0x1.4e33dd8798299p-1},
+        // config 5: 64x64, 40x40, 37x29
+        {0xc56ab90871a3ec03ull, 0x1p+0},
+        {0xe1bdac3cbf3571c8ull, 0x1p+0},
+        {0xe6b44d087d585c34ull, 0x1p+0},
+        // config 6: 64x64, 40x40, 37x29
+        {0xc8a9c225e892e3b1ull, 0x1.d9c6d186bf11bp-1},
+        {0x2111724aef8066faull, 0x1.d8cca9edd8ec6p-1},
+        {0x76a9f84d526b51e5ull, 0x1.d6fb90e63671bp-1},
+        // config 7: 64x64, 40x40, 37x29
+        {0xc29c33844b7ef45cull, 0x1.695010e6b6e31p-1},
+        {0xee3819900f25f1b5ull, 0x1.6bb842a65c738p-1},
+        {0x7a8210fd153f9af4ull, 0x1.6e7f47552b5c7p-1},
+    };
+    util::Rng rng(0x50B1);
+    std::size_t i = 0;
+    for (int c = 0; c < 8; ++c) {
+        const AcceleratorConfig config = sobel().configSpace().randomConfig(rng);
+        for (const auto& [width, height] :
+             {std::pair{64, 64}, std::pair{40, 40}, std::pair{37, 29}}) {
+            const img::Image scene = img::syntheticScene(width, height, 0x61);
+            const img::Image out = sobel().filter(scene, config);
+            const double q = img::SsimReference(sobel().filterExact(scene)).compare(out);
+            EXPECT_EQ(pixelDigest(out), kGolden[i].pixels) << "config " << c << ", " << width
+                                                            << "x" << height;
+            EXPECT_EQ(q, kGolden[i].ssim)
+                << "config " << c << ", " << width << "x" << height << ": " << std::hexfloat << q;
+            ++i;
+        }
+    }
 }
 
 TEST(SobelAccelerator, ConfigSpaceIsThreeAdderSlots) {
