@@ -4,6 +4,11 @@
 
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/simulator.hpp"
+#include "src/circuit/transform.hpp"
+#include "src/gen/adders.hpp"
+#include "src/gen/cgp.hpp"
+#include "src/gen/library.hpp"
+#include "src/gen/multipliers.hpp"
 #include "src/util/rng.hpp"
 
 namespace axf::circuit {
@@ -194,6 +199,102 @@ TEST(CompiledNetlist, RunW1MatchesWideRunOnRandomNetlists) {
                 ASSERT_EQ(out[o], wideOut[o * W + w]) << "word " << w << " output " << o;
         }
     }
+}
+
+/// FNV-1a over everything a compiled program is made of: the slot count,
+/// every instruction, the run partition, the slot tables, the hoisted
+/// constants and the fusion counters.  Fault campaigns enumerate their
+/// sites over these instructions, so the compiler must reproduce them
+/// byte for byte, not merely compute the same function.
+void digestProgram(std::uint64_t& h, const CompiledNetlist& compiled) {
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xFFu;
+            h *= 0x100000001B3ull;
+        }
+    };
+    mix(compiled.slotCount());
+    mix(compiled.instructionCount());
+    for (const kernels::Instr& ins : compiled.instructions()) {
+        mix(static_cast<std::uint64_t>(ins.op));
+        mix(ins.dst);
+        mix(ins.a);
+        mix(ins.b);
+        mix(ins.c);
+    }
+    mix(compiled.runs().size());
+    for (const CompiledNetlist::Run& run : compiled.runs()) {
+        mix(static_cast<std::uint64_t>(run.op));
+        mix(run.begin);
+        mix(run.end);
+    }
+    for (const auto table : {compiled.inputSlots(), compiled.outputSlots()}) {
+        mix(table.size());
+        for (const std::uint32_t slot : table) mix(slot);
+    }
+    mix(compiled.slotNodes().size());
+    for (const NodeId node : compiled.slotNodes()) mix(node);
+    mix(compiled.constantSlots().size());
+    for (const auto& [slot, value] : compiled.constantSlots()) {
+        mix(slot);
+        mix(value ? 1 : 0);
+    }
+    const CompiledNetlist::Stats stats = compiled.stats();
+    mix(stats.fusedOps);
+    mix(stats.gatesFused);
+}
+
+TEST(CompiledNetlist, ProgramsMatchGoldenDigest) {
+    // Corpus: the structural library families (8/16-bit adders and
+    // multipliers, post-simplify), the CGP seed architectures lowered to
+    // two inputs, seeded CGP children, random CGP genomes and random
+    // full-alphabet DAGs; each compiled at the default options, without
+    // fusion and without pruning.  A compiler rewrite must leave the
+    // digest unmodified: any change to instruction selection, slot
+    // assignment or scheduling order shows up here.
+    std::vector<Netlist> corpus;
+    util::Rng rng(0xD16E57);
+    for (const ArithOp op : {ArithOp::Adder, ArithOp::Multiplier}) {
+        for (const int width : {8, 16}) {
+            gen::LibraryConfig config;
+            config.op = op;
+            config.width = width;
+            config.errorConfig = {/*exhaustiveLimit=*/0, /*sampleCount=*/64};
+            for (gen::LibraryCircuit& c : gen::buildStructuralFamilies(config))
+                corpus.push_back(std::move(c.netlist));
+            const Netlist seeds[] = {
+                op == ArithOp::Adder ? gen::rippleCarryAdder(width)
+                                     : gen::wallaceMultiplier(width),
+                op == ArithOp::Adder ? gen::carryLookaheadAdder(width)
+                                     : gen::arrayMultiplier(width)};
+            for (const Netlist& seed : seeds) {
+                corpus.push_back(simplify(lowerToTwoInput(seed)));
+                const gen::CgpGenome parent = gen::CgpGenome::seedFromNetlist(
+                    seed, std::max(8, static_cast<int>(seed.gateCount()) / 5), rng);
+                for (int k = 0; k < 50; ++k) {
+                    gen::CgpGenome child = parent;
+                    child.mutate(4, rng);
+                    corpus.push_back(child.decode());
+                }
+                for (int k = 0; k < 10; ++k)
+                    corpus.push_back(gen::CgpGenome(parent.params(), rng).decode());
+            }
+        }
+    }
+    for (int k = 0; k < 40; ++k)
+        corpus.push_back(randomNetlist(4 + static_cast<int>(rng.index(7)),
+                                       20 + static_cast<int>(rng.index(60)),
+                                       1 + static_cast<int>(rng.index(8)), rng));
+    ASSERT_GT(corpus.size(), 900u);
+
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (const Netlist& net : corpus) {
+        digestProgram(h, CompiledNetlist::compile(net));
+        digestProgram(h, CompiledNetlist::compile(net, {.fuseOps = false}));
+        digestProgram(h, CompiledNetlist::compile(net, {.pruneDead = false}));
+    }
+    EXPECT_EQ(h, 0xC1E68D83C17993D8ull) << std::hex << "digest 0x" << h << " over " << std::dec
+                         << corpus.size() << " netlists";
 }
 
 TEST(FillExhaustiveBlock, LaneCarriesItsIndex) {
