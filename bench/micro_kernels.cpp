@@ -26,6 +26,7 @@
 #include "src/error/error_metrics.hpp"
 #include "src/fault/fault.hpp"
 #include "src/gen/adders.hpp"
+#include "src/gen/cgp.hpp"
 #include "src/gen/multipliers.hpp"
 #include "src/img/ssim.hpp"
 #include "src/search/island_search.hpp"
@@ -139,6 +140,56 @@ static void BM_SampledError16Bit(benchmark::State& state) {
                             static_cast<std::int64_t>(config.sampleCount));
 }
 BENCHMARK(BM_SampledError16Bit);
+
+/// 240 children of the 16x16 Wallace seed genome (4 mutated genes each,
+/// as `CgpEvolver` breeds them), decoded: the netlists a 16-bit multiplier
+/// library's CGP runs compile and analyze thousands of times per build.
+static const std::vector<circuit::Netlist>& cgpChildren16() {
+    static const std::vector<circuit::Netlist> children = [] {
+        const circuit::Netlist seed = gen::wallaceMultiplier(16);
+        util::Rng rng(0xC6C);
+        const gen::CgpGenome parent = gen::CgpGenome::seedFromNetlist(
+            seed, std::max(8, static_cast<int>(seed.gateCount()) / 5), rng);
+        std::vector<circuit::Netlist> out;
+        for (int k = 0; k < 240; ++k) {
+            gen::CgpGenome child = parent;
+            child.mutate(4, rng);
+            out.push_back(child.decode());
+        }
+        return out;
+    }();
+    return children;
+}
+
+/// `CompiledNetlist::compile` of CGP children.  items_per_second =
+/// compiles/sec.
+static void BM_CompileCgpChild(benchmark::State& state) {
+    const std::vector<circuit::Netlist>& children = cgpChildren16();
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const circuit::CompiledNetlist compiled =
+            circuit::CompiledNetlist::compile(children[k++ % children.size()]);
+        benchmark::DoNotOptimize(compiled.instructionCount());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CompileCgpChild);
+
+/// One CGP fitness evaluation: `ErrorAnalyzer::analyze` under the
+/// evolver's default fitness profile (8,192 sampled vectors, stimulus
+/// drawn once) over the same children.  items_per_second = analyses/sec.
+static void BM_CgpFitness(benchmark::State& state) {
+    const std::vector<circuit::Netlist>& children = cgpChildren16();
+    const error::ErrorAnalyzer fitness(gen::multiplierSignature(16),
+                                       gen::CgpEvolver::Options{}.fitnessConfig);
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const error::ErrorReport r = fitness.analyze(children[k++ % children.size()]);
+        benchmark::DoNotOptimize(r.med);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CgpFitness);
 
 /// Exhaustive stuck-at campaign over the complete fault list of an 8x8
 /// multiplier (Arg(0) = exact Wallace, Arg(t) = truncated-t): the batched

@@ -511,12 +511,12 @@ CacheKey CharacterizationCache::blobKey(std::uint64_t structuralHash, std::strin
 
 error::ErrorReport analyzeErrorCached(CharacterizationCache* cache, std::uint64_t structuralHash,
                                       const circuit::Netlist& netlist,
-                                      const circuit::ArithSignature& sig,
-                                      const error::ErrorAnalysisConfig& config) {
-    if (cache == nullptr) return error::analyzeError(netlist, sig, config);
-    const CacheKey key = CharacterizationCache::errorKey(structuralHash, sig, config);
+                                      const error::ErrorAnalyzer& analyzer) {
+    if (cache == nullptr) return analyzer.analyze(netlist);
+    const CacheKey key =
+        CharacterizationCache::errorKey(structuralHash, analyzer.signature(), analyzer.config());
     if (std::optional<error::ErrorReport> hit = cache->findError(key)) return *hit;
-    const error::ErrorReport report = error::analyzeError(netlist, sig, config);
+    const error::ErrorReport report = analyzer.analyze(netlist);
     cache->putError(key, report);
     return report;
 }

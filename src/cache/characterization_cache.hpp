@@ -232,12 +232,12 @@ private:
 // back to the plain computation, so every injection point keeps today's
 // behavior by default.
 
-/// Cached `error::analyzeError`; `structuralHash` must be the hash of
-/// `netlist` (passed in because callers usually already computed it).
+/// Cached `analyzer.analyze(netlist)`, keyed by the analyzer's signature
+/// and config; `structuralHash` must be the hash of `netlist` (passed in
+/// because callers usually already computed it).
 error::ErrorReport analyzeErrorCached(CharacterizationCache* cache, std::uint64_t structuralHash,
                                       const circuit::Netlist& netlist,
-                                      const circuit::ArithSignature& sig,
-                                      const error::ErrorAnalysisConfig& config);
+                                      const error::ErrorAnalyzer& analyzer);
 
 /// Cached `fault::analyzeResilience`; `structuralHash` must be the hash of
 /// `netlist` (passed in because callers usually already computed it).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "src/verify/verify.hpp"
@@ -93,33 +94,21 @@ struct NodeOp {
 ///  - associative-tree widening: Xor/And/Or over a single-use same-kind
 ///    producer fuses to Xor3/And3/Or3 (full-adder sums, AND trees and
 ///    OR-compressor levels each cost one instruction per level pair).
-/// Every rewrite replaces operands by strictly-lower-level nodes, so the
-/// (level, opcode, id) emission order stays topologically valid.
-void fusePeephole(const Netlist& netlist, std::vector<NodeOp>& ops,
-                  const std::vector<bool>& live, std::size_t& fusedOps) {
-    const std::span<const Node> nodes = netlist.nodes();
-    std::vector<std::uint32_t> uses(nodes.size(), 0);
-    std::vector<bool> isOutput(nodes.size(), false);
-    for (NodeId out : netlist.outputs()) {
-        ++uses[out];
-        isOutput[out] = true;
-    }
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (!live[i] || !ops[i].gate) continue;
-        const int fan = opFanIn(ops[i].op);
-        ++uses[ops[i].a];
-        if (fan >= 2) ++uses[ops[i].b];
-        if (fan >= 3) ++uses[ops[i].c];
-    }
-
+/// Every rewrite replaces operands by operands of operands — strictly
+/// lower node ids — so the program stays a DAG in node-id order and the
+/// dependency-driven schedule stays valid.  `uses` counts the references
+/// to each node (output ports included) from the live gates; `isOutput`
+/// flags the output ports.
+void fusePeephole(std::vector<NodeOp>& ops, std::vector<std::uint32_t>& uses,
+                  const std::vector<std::uint8_t>& isOutput, std::size_t& fusedOps) {
     // True when `edges` references from the current gate are the ONLY
     // remaining references to Not node `t` — absorbing them leaves t dead.
     const auto absorbableNot = [&](NodeId t, std::uint32_t edges) {
         return ops[t].gate && ops[t].op == OpCode::Not && !isOutput[t] && uses[t] == edges;
     };
 
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (!live[i] || !ops[i].gate) continue;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (!ops[i].gate) continue;  // set for live gates only
         NodeOp& g = ops[i];
 
         // Buf read-through (any fanout: reading through a copy is free).
@@ -283,243 +272,225 @@ void fusePeephole(const Netlist& netlist, std::vector<NodeOp>& ops,
     }
 }
 
+/// Half-adder pairing state: per operand pair {min(a, b), max(a, b)}, a
+/// first-in-first-out queue of the Xor or And gates over that pair still
+/// waiting for a partner.  A queue only ever holds one kind — a member of
+/// the other kind pops the oldest instead of joining — so visiting gates
+/// in node-id order pairs the pair's k-th Xor with its k-th And.
+class HalfAdderPairs {
+public:
+    /// `gates`: how many Xor/And gates will be offered.
+    HalfAdderPairs(std::size_t nodes, std::size_t gates) : next_(nodes, kInvalidNode) {
+        std::size_t capacity = 16;
+        while (capacity < 2 * gates) capacity *= 2;
+        table_.assign(capacity, Queue{});
+    }
+
+    /// Offers Xor/And gate `id`; returns the earlier gate it pairs with,
+    /// or kInvalidNode after queueing it.
+    NodeId offer(NodeId id, const std::vector<NodeOp>& ops) {
+        const NodeOp& g = ops[id];
+        const std::uint64_t key =
+            (std::uint64_t{std::min(g.a, g.b)} << 32) | std::max(g.a, g.b);
+        const std::size_t mask = table_.size() - 1;
+        auto h = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+        while (table_[h].key != key && table_[h].key != kEmpty) h = (h + 1) & mask;
+        Queue& q = table_[h];
+        q.key = key;
+        if (q.first != kInvalidNode && ops[q.first].op != g.op) {
+            const NodeId partner = q.first;
+            q.first = next_[partner];
+            return partner;
+        }
+        if (q.first == kInvalidNode)
+            q.first = id;
+        else
+            next_[q.last] = id;
+        q.last = id;
+        return kInvalidNode;
+    }
+
+private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    struct Queue {
+        std::uint64_t key = kEmpty;
+        NodeId first = kInvalidNode, last = kInvalidNode;
+    };
+    std::vector<Queue> table_;  ///< open addressing, linear probing
+    std::vector<NodeId> next_;  ///< queue successor of each queued gate
+};
+
 }  // namespace
 
 CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options) {
     const std::span<const Node> nodes = netlist.nodes();
-
-    std::vector<bool> live(nodes.size(), !options.pruneDead);
-    if (options.pruneDead) {
-        for (NodeId out : netlist.outputs()) live[out] = true;
-        for (std::size_t i = nodes.size(); i-- > 0;) {
-            if (!live[i]) continue;
-            const Node& n = nodes[i];
-            const int fan = fanInCount(n.kind);
-            if (fan >= 1) live[n.a] = true;
-            if (fan >= 2) live[n.b] = true;
-            if (fan >= 3) live[n.c] = true;
-        }
-        // The arithmetic interface survives approximation: inputs keep
-        // their slots even when the logic ignores them.
-        for (NodeId in : netlist.inputs()) live[in] = true;
-    }
+    const bool fuse = options.pruneDead && options.fuseOps;
 
     CompiledNetlist compiled;
     compiled.allNodes_ = !options.pruneDead;
     compiled.backend_ = options.backend != nullptr ? options.backend
                                                    : &kernels::selectedBackend();
 
-    // Mutable per-node program the peephole pass rewrites in topo order.
+    // Reverse pass: liveness from the outputs, the per-node op table the
+    // peephole pass rewrites, and the use counts fusion needs.
+    std::vector<std::uint8_t> live(nodes.size(), options.pruneDead ? 0 : 1);
     std::vector<NodeOp> ops(nodes.size());
+    std::vector<std::uint32_t> uses(fuse ? nodes.size() : 0, 0);
+    std::vector<std::uint8_t> isOutput(fuse ? nodes.size() : 0, 0);
+    for (NodeId out : netlist.outputs()) {
+        live[out] = 1;
+        if (fuse) {
+            ++uses[out];
+            isOutput[out] = 1;
+        }
+    }
     std::size_t preFusionGates = 0;
+    for (std::size_t i = nodes.size(); i-- > 0;) {
+        const Node& n = nodes[i];
+        const int fan = fanInCount(n.kind);
+        if (!live[i] || fan == 0) continue;
+        ops[i] = {toOpCode(n.kind), n.a, fan >= 2 ? n.b : n.a, fan >= 3 ? n.c : n.a, true};
+        ++preFusionGates;
+        const NodeId operands[] = {n.a, n.b, n.c};
+        for (int k = 0; k < fan; ++k) {
+            live[operands[k]] = 1;
+            if (fuse) ++uses[operands[k]];
+        }
+    }
+    // The arithmetic interface survives approximation: inputs keep their
+    // slots even when the logic ignores them.
+    for (NodeId in : netlist.inputs()) live[in] = 1;
+
+    std::optional<HalfAdderPairs> pairs;
+    if (fuse) {
+        fusePeephole(ops, uses, isOutput, compiled.fusedOps_);
+        // Liveness again over the rewritten program: fused-away nodes
+        // drop out of the cone.
+        std::fill(live.begin(), live.end(), 0);
+        for (NodeId out : netlist.outputs()) live[out] = 1;
+        std::size_t pairCandidates = 0;
+        for (std::size_t i = nodes.size(); i-- > 0;) {
+            if (!live[i] || !ops[i].gate) continue;
+            const int fan = opFanIn(ops[i].op);
+            live[ops[i].a] = 1;
+            if (fan >= 2) live[ops[i].b] = 1;
+            if (fan >= 3) live[ops[i].c] = 1;
+            pairCandidates += ops[i].op == OpCode::Xor || ops[i].op == OpCode::And;
+        }
+        for (NodeId in : netlist.inputs()) live[in] = 1;
+        pairs.emplace(nodes.size(), pairCandidates);
+    }
+
+    // Forward pass: slots in node-id order, hoisted constants, and one
+    // scheduling *item* per instruction with its finished `Instr` and the
+    // items producing its operands (inputs and constants are always
+    // ready).  An Xor and an And over the same operands pair into one
+    // dual-destination HalfAdd item, carried by the earlier member: when
+    // the later one arrives, the carrier's item becomes the pair's.
+    std::vector<std::uint32_t> slotOf(nodes.size(), 0);
+    std::vector<std::uint32_t> itemOf(nodes.size(), 0);
+    std::vector<Instr> items;
+    std::vector<std::uint32_t> producers;  // 3 entries per item
+    std::vector<std::uint32_t> deps;       // operand edges per item
+    items.reserve(preFusionGates);
+    producers.reserve(3 * preFusionGates);
+    deps.reserve(preFusionGates);
+    compiled.slotNode_.reserve(nodes.size());
+    std::uint32_t nextSlot = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         if (!live[i]) continue;
-        const Node& n = nodes[i];
-        switch (n.kind) {
-            case GateKind::Input:
-            case GateKind::Const0:
-            case GateKind::Const1: break;
-            default: {
-                const int fan = fanInCount(n.kind);
-                ops[i] = {toOpCode(n.kind), n.a, fan >= 2 ? n.b : n.a,
-                          fan >= 3 ? n.c : n.a, true};
-                ++preFusionGates;
-                break;
-            }
+        const std::uint32_t slot = nextSlot++;
+        slotOf[i] = slot;
+        compiled.slotNode_.push_back(static_cast<NodeId>(i));
+        if (nodes[i].kind == GateKind::Input) continue;  // loaded from the input block
+        if (nodes[i].kind == GateKind::Const0 || nodes[i].kind == GateKind::Const1) {
+            compiled.constants_.emplace_back(slot, nodes[i].kind == GateKind::Const1);
+            continue;
         }
-    }
-
-    const bool fuse = options.pruneDead && options.fuseOps;
-    if (fuse) fusePeephole(netlist, ops, live, compiled.fusedOps_);
-
-    // Final liveness over the rewritten program: fused-away nodes drop out
-    // of the cone (identical to `live` when fusion is off).
-    std::vector<bool> emit = live;
-    if (fuse) {
-        emit.assign(nodes.size(), false);
-        for (NodeId out : netlist.outputs()) emit[out] = true;
-        for (std::size_t i = nodes.size(); i-- > 0;) {
-            if (!emit[i] || !ops[i].gate) continue;
-            const int fan = opFanIn(ops[i].op);
-            emit[ops[i].a] = true;
-            if (fan >= 2) emit[ops[i].b] = true;
-            if (fan >= 3) emit[ops[i].c] = true;
-        }
-        for (NodeId in : netlist.inputs()) emit[in] = true;
-    }
-
-    // Half-adder pairing: an Xor and an And over the same (post-rewrite)
-    // operands collapse into one dual-destination HalfAdd instruction,
-    // carried at the pair member with the smaller id (emission order is
-    // dependency-driven below, so any carrier is topologically safe).
-    std::vector<NodeId> pairSumOf(fuse ? nodes.size() : 0, kInvalidNode);
-    std::vector<NodeId> pairCarryOf(fuse ? nodes.size() : 0, kInvalidNode);
-    std::vector<bool> pairSkip(nodes.size(), false);
-    if (fuse) {
-        // Sort-based matching: the k-th Xor of an operand pair (in id
-        // order) fuses with that pair's k-th And — deterministic and
-        // allocation-light.
-        const auto key = [](const NodeOp& g) {
-            return (static_cast<std::uint64_t>(std::min(g.a, g.b)) << 32) | std::max(g.a, g.b);
-        };
-        std::vector<std::pair<std::uint64_t, NodeId>> xors, ands;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            if (!emit[i] || !ops[i].gate) continue;
-            if (ops[i].op == OpCode::Xor)
-                xors.emplace_back(key(ops[i]), static_cast<NodeId>(i));
-            else if (ops[i].op == OpCode::And)
-                ands.emplace_back(key(ops[i]), static_cast<NodeId>(i));
-        }
-        std::sort(xors.begin(), xors.end());
-        std::sort(ands.begin(), ands.end());
-        std::size_t xi = 0, ai = 0;
-        while (xi < xors.size() && ai < ands.size()) {
-            if (xors[xi].first < ands[ai].first) {
-                ++xi;
-            } else if (ands[ai].first < xors[xi].first) {
-                ++ai;
-            } else {
-                const NodeId sum = xors[xi++].second, carry = ands[ai++].second;
-                const NodeId carrier = std::min(sum, carry);
-                pairSumOf[carrier] = sum;
-                pairCarryOf[carrier] = carry;
-                pairSkip[std::max(sum, carry)] = true;
+        const NodeOp& g = ops[i];
+        if (fuse && (g.op == OpCode::Xor || g.op == OpCode::And)) {
+            const NodeId carrier = pairs->offer(static_cast<NodeId>(i), ops);
+            if (carrier != kInvalidNode) {
+                itemOf[i] = itemOf[carrier];
+                Instr& ins = items[itemOf[carrier]];
+                ins.op = OpCode::HalfAdd;  // dst = sum slot, c = carry slot
+                if (g.op == OpCode::Xor) {
+                    ins.c = ins.dst;
+                    ins.dst = slot;
+                } else {
+                    ins.c = slot;
+                }
                 ++compiled.fusedOps_;
+                continue;
             }
         }
+        const int fan = opFanIn(g.op);
+        const auto item = static_cast<std::uint32_t>(items.size());
+        itemOf[i] = item;
+        items.push_back({g.op, slot, slotOf[g.a], fan >= 2 ? slotOf[g.b] : 0,
+                         fan >= 3 ? slotOf[g.c] : 0});
+        std::uint32_t edges = 0;
+        producers.resize(producers.size() + 3);
+        const NodeId operands[] = {g.a, g.b, g.c};
+        for (int k = 0; k < fan; ++k)
+            if (ops[operands[k]].gate) producers[3 * item + edges++] = itemOf[operands[k]];
+        deps.push_back(edges);
     }
-
-    // Slot assignment over the final live set (pair partners keep their
-    // slot: it is the HalfAdd's second destination).
-    std::vector<std::uint32_t> slotOf(nodes.size(), 0);
-    std::uint32_t nextSlot = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-        if (emit[i]) {
-            slotOf[i] = nextSlot++;
-            compiled.slotNode_.push_back(static_cast<NodeId>(i));
-        }
     compiled.slotCount_ = nextSlot;
 
-    // Scheduling: one *item* per emitted instruction (a HalfAdd pair is a
-    // single item producing two nodes).
-    const auto emittedOp = [&](std::uint32_t i) {
-        if (fuse && pairSumOf[i] != kInvalidNode) return OpCode::HalfAdd;
-        return ops[i].op;
-    };
-    std::vector<std::uint32_t> itemNodes;  // carrier node per item, id order
-    std::vector<std::uint32_t> itemOf(nodes.size(), 0);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (!emit[i]) continue;
-        switch (nodes[i].kind) {
-            case GateKind::Input: break;  // loaded from the input block
-            case GateKind::Const0: compiled.constants_.emplace_back(slotOf[i], false); break;
-            case GateKind::Const1: compiled.constants_.emplace_back(slotOf[i], true); break;
-            default:
-                if (!pairSkip[i]) {
-                    itemOf[i] = static_cast<std::uint32_t>(itemNodes.size());
-                    itemNodes.push_back(static_cast<std::uint32_t>(i));
-                }
-                break;
-        }
-    }
-    // Map every produced node (including pair partners) to its item.
-    if (fuse)
-        for (const std::uint32_t i : itemNodes)
-            if (pairSumOf[i] != kInvalidNode) {
-                itemOf[pairSumOf[i]] = itemOf[i];
-                itemOf[pairCarryOf[i]] = itemOf[i];
-            }
-
-    // Dependency edges in CSR form: item -> consumer items, one entry per
-    // operand edge (no per-item allocations; compile sits on the
-    // characterization hot path, called once per candidate circuit).
-    const std::size_t itemCount = itemNodes.size();
-    std::vector<std::uint32_t> deps(itemCount, 0);
-    std::vector<std::uint32_t> outDegree(itemCount, 0);
-    const auto forEachOperand = [&](std::uint32_t i, auto&& fn) {
-        const NodeOp& g = ops[i];
-        const int fan = emittedOp(i) == OpCode::HalfAdd ? 2 : opFanIn(g.op);
-        fn(g.a);
-        if (fan >= 2) fn(g.b);
-        if (fan >= 3) fn(g.c);
-    };
-    for (std::uint32_t item = 0; item < itemCount; ++item) {
-        forEachOperand(itemNodes[item], [&](NodeId x) {
-            if (ops[x].gate) {  // inputs and constants are always ready
-                ++outDegree[itemOf[x]];
-                ++deps[item];
-            }
-        });
-    }
-    std::vector<std::uint32_t> consumerOffset(itemCount + 1, 0);
+    // Consumer edges in CSR form, each producer's consumers in item order
+    // (one entry per operand edge).
+    const std::size_t itemCount = items.size();
+    std::vector<std::uint32_t> consumerOffset(itemCount + 2, 0);
     for (std::size_t item = 0; item < itemCount; ++item)
-        consumerOffset[item + 1] = consumerOffset[item] + outDegree[item];
-    std::vector<std::uint32_t> consumerEdges(consumerOffset[itemCount]);
-    {
-        std::vector<std::uint32_t> fill(consumerOffset.begin(), consumerOffset.end() - 1);
-        for (std::uint32_t item = 0; item < itemCount; ++item)
-            forEachOperand(itemNodes[item], [&](NodeId x) {
-                if (ops[x].gate) consumerEdges[fill[itemOf[x]]++] = item;
-            });
-    }
+        for (std::uint32_t e = 0; e < deps[item]; ++e)
+            ++consumerOffset[producers[3 * item + e] + 2];
+    for (std::size_t item = 2; item <= itemCount + 1; ++item)
+        consumerOffset[item] += consumerOffset[item - 1];
+    std::vector<std::uint32_t> consumerEdges(consumerOffset[itemCount + 1]);
+    for (std::size_t item = 0; item < itemCount; ++item)
+        for (std::uint32_t e = 0; e < deps[item]; ++e)
+            consumerEdges[consumerOffset[producers[3 * item + e] + 1]++] =
+                static_cast<std::uint32_t>(item);
+    // Now [consumerOffset[p], consumerOffset[p + 1]) holds p's consumers.
 
     // Greedy run-maximizing list schedule: repeatedly pick the opcode with
-    // the most ready instructions and emit its entire ready *closure* —
-    // instructions unlocked by the run join the same run, so dependent
-    // same-opcode chains (ripple carries, XOR trees) become one long run.
-    // Deterministic: queues fill in item order and the opcode choice is a
-    // pure function of queue sizes.
-    std::array<std::vector<std::uint32_t>, kernels::kOpCount> ready;
-    std::array<std::size_t, kernels::kOpCount> readyHead{};
+    // the most ready instructions (ties to the lowest opcode) and emit its
+    // entire ready *closure* — instructions unlocked by the run join the
+    // same run, so dependent same-opcode chains (ripple carries, XOR trees)
+    // become one long run.  Every item is queued exactly once, so the
+    // per-opcode ready queues are fixed segments of one array, filled in
+    // item order.
+    std::array<std::uint32_t, kernels::kOpCount> head{}, tail{};
+    for (const Instr& ins : items) ++head[static_cast<std::size_t>(ins.op)];
+    for (std::uint32_t op = 0, start = 0; op < kernels::kOpCount; ++op) {
+        const std::uint32_t count = head[op];
+        head[op] = tail[op] = start;
+        start += count;
+    }
+    std::vector<std::uint32_t> ready(itemCount);
+    const auto enqueue = [&](std::uint32_t item) {
+        ready[tail[static_cast<std::size_t>(items[item].op)]++] = item;
+    };
     for (std::uint32_t item = 0; item < itemCount; ++item)
-        if (deps[item] == 0)
-            ready[static_cast<std::size_t>(emittedOp(itemNodes[item]))].push_back(item);
+        if (deps[item] == 0) enqueue(item);
 
     compiled.instrs_.reserve(itemCount);
-    const auto emitItem = [&](std::uint32_t item) {
-        const std::uint32_t i = itemNodes[item];
-        const NodeOp& g = ops[i];
-        Instr ins{};
-        ins.op = emittedOp(i);
-        if (ins.op == OpCode::HalfAdd) {
-            ins.dst = slotOf[pairSumOf[i]];
-            ins.a = slotOf[g.a];
-            ins.b = slotOf[g.b];
-            ins.c = slotOf[pairCarryOf[i]];
-        } else {
-            const int fan = opFanIn(g.op);
-            ins.dst = slotOf[i];
-            ins.a = slotOf[g.a];
-            ins.b = fan >= 2 ? slotOf[g.b] : 0;
-            ins.c = fan >= 3 ? slotOf[g.c] : 0;
+    while (compiled.instrs_.size() < itemCount) {
+        std::size_t best = 0;
+        for (std::size_t op = 1; op < kernels::kOpCount; ++op)
+            if (tail[op] - head[op] > tail[best] - head[best]) best = op;
+        if (tail[best] == head[best])
+            throw std::logic_error("CompiledNetlist: scheduler stalled (cycle?)");
+        const auto begin = static_cast<std::uint32_t>(compiled.instrs_.size());
+        while (head[best] < tail[best]) {
+            const std::uint32_t item = ready[head[best]++];
+            compiled.instrs_.push_back(items[item]);
+            for (std::uint32_t e = consumerOffset[item]; e < consumerOffset[item + 1]; ++e)
+                if (--deps[consumerEdges[e]] == 0) enqueue(consumerEdges[e]);
         }
-        compiled.instrs_.push_back(ins);
-        ++compiled.runs_.back().end;
-        for (std::uint32_t e = consumerOffset[item]; e < consumerOffset[item + 1]; ++e) {
-            const std::uint32_t consumer = consumerEdges[e];
-            if (--deps[consumer] == 0)
-                ready[static_cast<std::size_t>(emittedOp(itemNodes[consumer]))].push_back(
-                    consumer);
-        }
-    };
-    std::size_t emitted = 0;
-    while (emitted < itemCount) {
-        std::size_t best = 0, bestSize = 0;
-        for (std::size_t op = 0; op < kernels::kOpCount; ++op) {
-            const std::size_t size = ready[op].size() - readyHead[op];
-            if (size > bestSize) {
-                best = op;
-                bestSize = size;
-            }
-        }
-        if (bestSize == 0) throw std::logic_error("CompiledNetlist: scheduler stalled (cycle?)");
-        compiled.runs_.push_back({static_cast<OpCode>(best),
-                                  static_cast<std::uint32_t>(compiled.instrs_.size()),
+        compiled.runs_.push_back({static_cast<OpCode>(best), begin,
                                   static_cast<std::uint32_t>(compiled.instrs_.size())});
-        while (readyHead[best] < ready[best].size()) {
-            emitItem(ready[best][readyHead[best]++]);
-            ++emitted;
-        }
     }
     compiled.gatesFused_ = preFusionGates - compiled.instrs_.size();
 

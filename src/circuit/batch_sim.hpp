@@ -65,8 +65,9 @@ public:
     };
 
     /// Maximal run of same-opcode instructions: the evaluator dispatches
-    /// once per run, not once per gate.  Compile sorts gates of equal
-    /// logic level by opcode (legal: every fan-in lives in a lower level)
+    /// once per run, not once per gate.  Compile list-schedules the gates:
+    /// it repeatedly emits every ready gate of the opcode with the most
+    /// ready gates, including the gates that become ready during the run,
     /// so structured circuits collapse into a handful of long runs.
     struct Run {
         kernels::OpCode op;

@@ -183,15 +183,14 @@ struct Workspace {
     alignas(64) std::array<std::uint32_t, kBlockLanes> operandB{};
 };
 
-/// Decodes an output block and accumulates error against the exact values
-/// already filled into `ws.exact`.  Each kSubPartialLanes sub-block feeds
+/// Decodes an output block (into `ws`'s lane arrays) and accumulates error
+/// against `exact[0..lanes)`.  Each kSubPartialLanes sub-block feeds
 /// `addBlock` separately in ascending order (see kSubPartialWords).
 inline void consumeBlock(const std::vector<Word>& out, std::size_t outputs, std::size_t lanes,
-                         Accumulator& acc, Workspace& ws) {
+                         const std::uint64_t* exact, Accumulator& acc, Workspace& ws) {
     const auto addSubBlocks = [&](const auto* approx) {
         for (std::size_t off = 0; off < lanes; off += kSubPartialLanes)
-            acc.addBlock(approx + off, ws.exact.data() + off,
-                         std::min(kSubPartialLanes, lanes - off));
+            acc.addBlock(approx + off, exact + off, std::min(kSubPartialLanes, lanes - off));
     };
     if (outputs <= 16) {
         decodeOutputsU16(out.data(), outputs, ws.approx16.data());

@@ -34,69 +34,46 @@ using namespace error::detail;
 constexpr std::uint64_t kChunkVectors = 1ull << 13;
 static_assert(kChunkVectors % kBlockLanes == 0, "chunks must decompose into whole blocks");
 
-/// Evaluates exhaustive vectors [begin, end); `begin` is block-aligned by
-/// construction (the chunk size is a multiple of the block size).
-Accumulator exhaustiveChunk(const CompiledNetlist& compiled, const circuit::ArithSignature& sig,
-                            std::uint64_t begin, std::uint64_t end) {
-    BatchSimulator sim(compiled);
-    Workspace ws;
-    const int totalBits = sig.inputWidth();
-    ws.in.resize(static_cast<std::size_t>(totalBits) * kBlockWords);
-    ws.out.resize(compiled.outputCount() * kBlockWords);
-
-    Accumulator acc;
-    for (std::uint64_t base = begin; base < end; base += kBlockLanes) {
-        const std::size_t lanes =
-            static_cast<std::size_t>(std::min<std::uint64_t>(kBlockLanes, end - base));
-        circuit::fillExhaustiveBlock(ws.in, totalBits, base);
-        sim.evaluate(ws.in, ws.out);
-        fillExactExhaustive(ws, sig, base, lanes);
-        consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws);
-    }
-    return acc;
-}
-
-/// Evaluates `count` sampled vectors with the chunk's own generator.
-/// Every lane bit is an independent fair coin, which is exactly a uniform
-/// draw over the (power-of-two) operand spaces.
-Accumulator sampledChunk(const CompiledNetlist& compiled, const circuit::ArithSignature& sig,
-                         std::uint64_t chunkSeed, std::uint64_t count) {
-    BatchSimulator sim(compiled);
-    Workspace ws;
-    const int totalBits = sig.inputWidth();
-    ws.in.resize(static_cast<std::size_t>(totalBits) * kBlockWords);
-    ws.out.resize(compiled.outputCount() * kBlockWords);
-
-    util::Rng rng(chunkSeed);
-    Accumulator acc;
-    std::uint64_t remaining = count;
-    while (remaining > 0) {
-        const std::size_t lanes =
-            static_cast<std::size_t>(std::min<std::uint64_t>(kBlockLanes, remaining));
-        // Draws happen in kSubPartialWords (256-lane) sub-blocks, bit-major
-        // within each, so lane L sees the exact word a 256-lane block L/256
-        // would have drawn.  (A final partial block may draw surplus words;
-        // it is always the chunk's last block, so nothing else consumes the
-        // stream.)
-        for (std::size_t sub = 0; sub < kBlockWords; sub += kSubPartialWords)
-            for (std::size_t bit = 0; bit < static_cast<std::size_t>(totalBits); ++bit)
-                for (std::size_t w = 0; w < kSubPartialWords; ++w)
-                    ws.in[bit * kBlockWords + sub + w] = rng.uniformInt(0, ~std::uint64_t{0});
-        sim.evaluate(ws.in, ws.out);
-        fillExactSampled(ws, sig, lanes);
-        consumeBlock(ws.out, compiled.outputCount(), lanes, acc, ws);
-        remaining -= lanes;
-    }
-    return acc;
+void checkOperands(const circuit::ArithSignature& sig) {
+    if (sig.widthA > 32 || sig.widthB > 32)
+        throw std::invalid_argument("analyzeError: operands wider than 32 bits");
 }
 
 void checkInterface(const circuit::Netlist& netlist, const circuit::ArithSignature& sig) {
-    if (sig.widthA > 32 || sig.widthB > 32)
-        throw std::invalid_argument("analyzeError: operands wider than 32 bits");
     if (static_cast<int>(netlist.inputCount()) != sig.inputWidth())
         throw std::invalid_argument("analyzeError: netlist input width != signature");
     if (static_cast<int>(netlist.outputCount()) != sig.outputWidth())
         throw std::invalid_argument("analyzeError: netlist output width != signature");
+}
+
+/// Draws sampled chunk `c` (`count` vectors) from its own stream, so the
+/// stimulus does not depend on which worker draws it: the input planes,
+/// block after block, and every vector's exact result.  Every lane bit is
+/// an independent fair coin, which is exactly a uniform draw over the
+/// (power-of-two) operand spaces.
+void drawChunk(const circuit::ArithSignature& sig, std::uint64_t seed, std::uint64_t c,
+               std::uint64_t count, std::vector<Word>& planes, std::vector<std::uint64_t>& exact,
+               Workspace& ws) {
+    const auto bits = static_cast<std::size_t>(sig.inputWidth());
+    planes.resize((count + kBlockLanes - 1) / kBlockLanes * bits * kBlockWords);
+    exact.resize(count);
+    util::Rng rng(mixSeed(seed + c));
+    for (std::uint64_t base = 0; base < count; base += kBlockLanes) {
+        const auto lanes = static_cast<std::size_t>(std::min(kBlockLanes, count - base));
+        // Draws happen in kSubPartialWords (256-lane) sub-blocks, bit-major
+        // within each, so lane L sees the exact word a 256-lane block L/256
+        // would have drawn.  (A final partial block draws surplus words; it
+        // is always the chunk's last block, so nothing else consumes the
+        // stream.)
+        for (std::size_t sub = 0; sub < kBlockWords; sub += kSubPartialWords)
+            for (std::size_t bit = 0; bit < bits; ++bit)
+                for (std::size_t w = 0; w < kSubPartialWords; ++w)
+                    ws.in[bit * kBlockWords + sub + w] = rng.uniformInt(0, ~std::uint64_t{0});
+        fillExactSampled(ws, sig, lanes);
+        std::copy(ws.in.begin(), ws.in.end(),
+                  planes.data() + base / kBlockLanes * bits * kBlockWords);
+        std::copy_n(ws.exact.begin(), lanes, exact.data() + base);
+    }
 }
 
 }  // namespace
@@ -109,15 +86,26 @@ std::string ErrorReport::summary() const {
     return os.str();
 }
 
-ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSignature& sig,
-                         const ErrorAnalysisConfig& config) {
-    checkInterface(netlist, sig);
+ErrorAnalyzer::ErrorAnalyzer(const circuit::ArithSignature& sig,
+                             const ErrorAnalysisConfig& config)
+    : sig_(sig), config_(config), exhaustive_(config.isExhaustiveFor(sig)) {
+    checkOperands(sig);
+    if (exhaustive_) {
+        vectors_ = std::uint64_t{1} << sig.inputWidth();
+        return;
+    }
+    if (config.sampleCount == 0)
+        throw std::invalid_argument("analyzeError: sampled analysis without samples");
+    vectors_ = config.sampleCount;
+    chunks_ = std::vector<SampledChunk>((vectors_ + kChunkVectors - 1) / kChunkVectors);
+}
 
+ErrorReport ErrorAnalyzer::analyze(const circuit::Netlist& netlist) const {
+    checkInterface(netlist, sig_);
     const CompiledNetlist compiled = CompiledNetlist::compile(netlist);
-    const int totalBits = sig.inputWidth();
-    const bool exhaustive = config.isExhaustiveFor(sig);
-    const std::uint64_t vectors = exhaustive ? std::uint64_t{1} << totalBits : config.sampleCount;
-    const std::uint64_t chunkCount = (vectors + kChunkVectors - 1) / kChunkVectors;
+    const auto bits = static_cast<std::size_t>(sig_.inputWidth());
+    const std::size_t outputs = compiled.outputCount();
+    const std::uint64_t chunkCount = (vectors_ + kChunkVectors - 1) / kChunkVectors;
 
     // Work is dispatched as tasks of `chunksPerTask` consecutive chunks so
     // the partial-accumulator array stays bounded for huge input spaces
@@ -127,31 +115,52 @@ ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSi
     // chunk, i.e. full scheduling granularity.
     constexpr std::uint64_t kMaxTasks = 1024;
     const std::uint64_t chunksPerTask = (chunkCount + kMaxTasks - 1) / kMaxTasks;
-    const std::size_t taskCount = chunkCount == 0
-                                      ? 0
-                                      : static_cast<std::size_t>(
-                                            (chunkCount + chunksPerTask - 1) / chunksPerTask);
+    const auto taskCount =
+        static_cast<std::size_t>((chunkCount + chunksPerTask - 1) / chunksPerTask);
 
-    std::vector<Accumulator> parts(std::max<std::size_t>(1, taskCount));
+    std::vector<Accumulator> parts(taskCount);
     const auto runTask = [&](std::size_t t) {
+        BatchSimulator sim(compiled);
+        Workspace ws;
+        ws.in.resize(bits * kBlockWords);
+        ws.out.resize(outputs * kBlockWords);
         const std::uint64_t firstChunk = static_cast<std::uint64_t>(t) * chunksPerTask;
         const std::uint64_t lastChunk = std::min(chunkCount, firstChunk + chunksPerTask);
-        if (exhaustive) {
-            const std::uint64_t begin = firstChunk * kChunkVectors;
-            const std::uint64_t end = std::min(vectors, lastChunk * kChunkVectors);
-            parts[t] = exhaustiveChunk(compiled, sig, begin, end);
-        } else {
-            // Sample streams stay per-chunk so the draw sequence does not
-            // depend on the task grouping.
-            for (std::uint64_t c = firstChunk; c < lastChunk; ++c) {
-                const std::uint64_t count = std::min(kChunkVectors, vectors - c * kChunkVectors);
-                parts[t].merge(sampledChunk(compiled, sig, mixSeed(config.seed + c), count));
+        for (std::uint64_t c = firstChunk; c < lastChunk; ++c) {
+            const std::uint64_t begin = c * kChunkVectors;
+            const std::uint64_t count = std::min(kChunkVectors, vectors_ - begin);
+            if (exhaustive_) {
+                // An exhaustive task accumulates straight through its chunks.
+                for (std::uint64_t base = begin; base < begin + count; base += kBlockLanes) {
+                    const auto lanes =
+                        static_cast<std::size_t>(std::min(kBlockLanes, begin + count - base));
+                    circuit::fillExhaustiveBlock(ws.in, sig_.inputWidth(), base);
+                    fillExactExhaustive(ws, sig_, base, lanes);
+                    sim.evaluate(ws.in, ws.out);
+                    consumeBlock(ws.out, outputs, lanes, ws.exact.data(), parts[t], ws);
+                }
+                continue;
             }
+            // Each sampled chunk folds into its own accumulator, merged in
+            // chunk order.
+            SampledChunk& stimulus = chunks_[c];
+            std::call_once(stimulus.drawn, [&] {
+                drawChunk(sig_, config_.seed, c, count, stimulus.planes, stimulus.exact, ws);
+            });
+            Accumulator chunk;
+            for (std::uint64_t off = 0; off < count; off += kBlockLanes) {
+                const auto lanes = static_cast<std::size_t>(std::min(kBlockLanes, count - off));
+                sim.evaluate({stimulus.planes.data() + off / kBlockLanes * bits * kBlockWords,
+                              bits * kBlockWords},
+                             ws.out);
+                consumeBlock(ws.out, outputs, lanes, stimulus.exact.data() + off, chunk, ws);
+            }
+            parts[t].merge(chunk);
         }
     };
-    if (config.threads == 1 || taskCount <= 1) {
+    if (config_.threads == 1 || taskCount <= 1) {
         for (std::size_t t = 0; t < taskCount; ++t) {
-            if (config.cancel != nullptr && config.cancel->stopRequested())
+            if (config_.cancel != nullptr && config_.cancel->stopRequested())
                 throw util::OperationCancelled("analyzeError cancelled");
             runTask(t);
         }
@@ -161,17 +170,23 @@ ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSi
         // is produced) and surfaces as OperationCancelled.
         util::ThreadPool::global().parallelFor(
             taskCount, runTask,
-            config.threads > 0 ? static_cast<std::size_t>(config.threads) : 0, config.cancel);
+            config_.threads > 0 ? static_cast<std::size_t>(config_.threads) : 0, config_.cancel);
     }
 
     Accumulator acc;
     for (const Accumulator& part : parts) acc.merge(part);
-    return acc.report(sig.maxOutput(), exhaustive);
+    return acc.report(sig_.maxOutput(), exhaustive_);
+}
+
+ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSignature& sig,
+                         const ErrorAnalysisConfig& config) {
+    return ErrorAnalyzer(sig, config).analyze(netlist);
 }
 
 ErrorReport analyzeErrorBaseline(const circuit::Netlist& netlist,
                                  const circuit::ArithSignature& sig,
                                  const ErrorAnalysisConfig& config) {
+    checkOperands(sig);
     checkInterface(netlist, sig);
 
     // The seed implementation, verbatim: one-word-at-a-time interpreter

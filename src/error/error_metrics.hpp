@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/circuit/arith.hpp"
 #include "src/circuit/netlist.hpp"
@@ -78,16 +80,55 @@ struct ErrorAnalysisConfig {
     }
 };
 
-/// Computes the error profile of `netlist` implementing `sig`.
+/// The error analysis of one (signature, config), reusable across netlists.
 ///
-/// The netlist interface must be LSB-first operand A bits, then operand B
-/// bits; outputs LSB-first.  Throws std::invalid_argument on arity mismatch
-/// or an operand wider than 32 bits.
+/// A sampled config's stimulus — every chunk's input planes and their
+/// exact results — is drawn once, by the first sweep that reaches the
+/// chunk, and kept; later `analyze` calls only compile and sweep, and a
+/// one-shot analysis draws and sweeps in one pass.  Exhaustive configs
+/// generate their blocks on the fly and store nothing.  A drawn sampled
+/// analyzer holds `sampleCount * (inputWidth / 8 + 8)` bytes.
 ///
 /// Runs on the compiled multi-word engine (`BatchSimulator`, 1024 lanes
 /// per sweep), thread-parallel over input-space chunks per
-/// `config.threads`.  Reports are bit-identical across kernel backends and
-/// thread counts.
+/// `config.threads`.  Reports are bit-identical across kernel backends
+/// and thread counts.
+class ErrorAnalyzer {
+public:
+    /// Throws std::invalid_argument on an operand wider than 32 bits or a
+    /// sampled config without samples.
+    explicit ErrorAnalyzer(const circuit::ArithSignature& sig,
+                           const ErrorAnalysisConfig& config = {});
+
+    /// Error profile of `netlist` implementing the signature.  The netlist
+    /// interface must be LSB-first operand A bits, then operand B bits;
+    /// outputs LSB-first.  Throws std::invalid_argument on an arity
+    /// mismatch, util::OperationCancelled when `config.cancel` stops the
+    /// sweep.  Const and safe to call from several threads at once.
+    ErrorReport analyze(const circuit::Netlist& netlist) const;
+
+    const circuit::ArithSignature& signature() const { return sig_; }
+    const ErrorAnalysisConfig& config() const { return config_; }
+
+private:
+    /// One sampled chunk's stimulus, drawn under `drawn` by the first
+    /// sweep that needs it.
+    struct SampledChunk {
+        std::once_flag drawn;
+        std::vector<std::uint64_t> planes;  ///< input bit-planes, block after block
+        std::vector<std::uint64_t> exact;   ///< exact result of every vector
+    };
+
+    circuit::ArithSignature sig_;
+    ErrorAnalysisConfig config_;
+    bool exhaustive_ = false;
+    std::uint64_t vectors_ = 0;
+    mutable std::vector<SampledChunk> chunks_;  ///< empty for exhaustive configs
+};
+
+/// Computes the error profile of `netlist` implementing `sig`:
+/// `ErrorAnalyzer(sig, config).analyze(netlist)`.  Callers analyzing many
+/// netlists under one config should hold an `ErrorAnalyzer` instead.
 ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSignature& sig,
                          const ErrorAnalysisConfig& config = {});
 

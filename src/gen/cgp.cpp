@@ -223,11 +223,10 @@ void CgpSearchProblem::evaluate(std::span<const CgpGenome> batch,
                                 std::span<search::Objectives> out) const {
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const circuit::Netlist netlist = batch[i].decode();
-        const error::ErrorReport report =
-            error::analyzeError(netlist, signature_, fitnessConfig_);
+        const error::ErrorReport report = fitness_.analyze(netlist);
         if (resilience_) {
             const fault::ResilienceReport rr =
-                fault::analyzeResilience(netlist, signature_, *resilience_);
+                fault::analyzeResilience(netlist, fitness_.signature(), *resilience_);
             out[i] = search::Objectives{report.med,
                                         static_cast<double>(batch[i].activeCells()),
                                         rr.meanMedUnderFault};
@@ -239,7 +238,7 @@ void CgpSearchProblem::evaluate(std::span<const CgpGenome> batch,
 }
 
 CgpEvolver::CgpEvolver(circuit::ArithSignature signature, Options options)
-    : signature_(signature), options_(options) {}
+    : options_(options), fitness_(signature, options.fitnessConfig) {}
 
 std::vector<CgpHarvest> CgpEvolver::run(const Netlist& seedNetlist) {
     util::Rng rng(options_.seed);
@@ -247,7 +246,7 @@ std::vector<CgpHarvest> CgpEvolver::run(const Netlist& seedNetlist) {
         seedNetlist, std::max(8, static_cast<int>(seedNetlist.gateCount()) / 5), rng);
 
     const auto fitness = [this](const CgpGenome& genome) {
-        return error::analyzeError(genome.decode(), signature_, options_.fitnessConfig);
+        return fitness_.analyze(genome.decode());
     };
 
     error::ErrorReport parentError = fitness(parent);
@@ -259,10 +258,7 @@ std::vector<CgpHarvest> CgpEvolver::run(const Netlist& seedNetlist) {
         Netlist netlist = circuit::simplify(genome.decode());
         const std::uint64_t hash = netlist.structuralHash();
         if (!seen.insert(hash).second) return;
-        // Harvested circuits get the accurate (reporting-grade) profile.
-        error::ErrorReport report =
-            error::analyzeError(netlist, signature_, options_.reportConfig);
-        harvest.push_back(CgpHarvest{std::move(netlist), report, generation});
+        harvest.push_back(CgpHarvest{std::move(netlist), generation});
     };
     harvestIfNovel(parent, 0);
 

@@ -106,10 +106,11 @@ private:
     std::vector<bool> activeMask() const;
 };
 
-/// One harvested point of an evolutionary run.
+/// One harvested point of an evolutionary run.  Harvests carry no error
+/// report: `buildLibrary` reports them in its own stage, through the
+/// characterization cache.
 struct CgpHarvest {
     circuit::Netlist netlist;       ///< decoded, simplified
-    error::ErrorReport error;       ///< against the run's signature
     int generation = 0;
 };
 
@@ -127,11 +128,10 @@ public:
         std::uint64_t seed = 1;
         /// Fitness-evaluation policy: sampled and cheap (evolution runs
         /// thousands of evaluations; sampling noise only perturbs the walk).
+        /// Its stimulus is drawn once, by the evolver's first analysis.
         error::ErrorAnalysisConfig fitnessConfig{/*exhaustiveLimit=*/1u << 12,
                                                  /*sampleCount=*/1u << 13,
                                                  /*seed=*/0xF17};
-        /// Reporting policy applied once per harvested circuit.
-        error::ErrorAnalysisConfig reportConfig{};
     };
 
     CgpEvolver(circuit::ArithSignature signature, Options options);
@@ -141,8 +141,8 @@ public:
     std::vector<CgpHarvest> run(const circuit::Netlist& seedNetlist);
 
 private:
-    circuit::ArithSignature signature_;
     Options options_;
+    error::ErrorAnalyzer fitness_;
 };
 
 /// The CGP offspring loop adapted to the `search::Problem` concept — the
@@ -155,8 +155,8 @@ private:
 /// error-under-fault as a third objective, turning the archive into a
 /// quality x size x resilience front.  All genomes share this problem's
 /// geometry (`params`); fitness evaluation uses the sampled, cheap
-/// error-analysis profile exactly like `CgpEvolver` and is const,
-/// RNG-free and thread-safe.
+/// error-analysis profile exactly like `CgpEvolver` (one analyzer, its
+/// stimulus drawn once) and is const, RNG-free and thread-safe.
 class CgpSearchProblem {
 public:
     using Genome = CgpGenome;
@@ -166,8 +166,8 @@ public:
                                                                 /*sampleCount=*/1u << 13,
                                                                 /*seed=*/0xF17},
                      int mutatedGenes = 4)
-        : signature_(signature), params_(std::move(params)),
-          fitnessConfig_(fitnessConfig), mutatedGenes_(mutatedGenes) {}
+        : params_(std::move(params)), fitness_(signature, fitnessConfig),
+          mutatedGenes_(mutatedGenes) {}
 
     std::size_t objectiveCount() const { return resilience_ ? 3 : 2; }
 
@@ -206,9 +206,8 @@ public:
     const CgpParams& params() const { return params_; }
 
 private:
-    circuit::ArithSignature signature_;
     CgpParams params_;
-    error::ErrorAnalysisConfig fitnessConfig_;
+    error::ErrorAnalyzer fitness_;
     int mutatedGenes_;
     std::optional<fault::CampaignConfig> resilience_;
 };

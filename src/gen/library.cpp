@@ -30,10 +30,36 @@ namespace {
 /// to `circuit::simplify` semantics).
 constexpr std::string_view kSimplifyTag = "simplified-netlist.v1";
 
+/// A deduplicated library entry waiting for its error report.
+struct PendingCircuit {
+    LibraryCircuit circuit;  ///< complete but for `error`
+    std::uint64_t hash = 0;  ///< structural hash of `circuit.netlist`
+};
+
+/// The library's report stage: analyzes every pending entry in one
+/// parallel fan-out through the characterization cache, then appends the
+/// entries in order.  Structural families and CGP harvests both end here,
+/// on the library's one analyzer.
+void appendReported(AcLibrary& library, std::vector<PendingCircuit>& pending,
+                    const error::ErrorAnalyzer& analyzer, cache::CharacterizationCache* cache,
+                    const util::CancellationToken* cancel) {
+    static obs::Counter& characterized =
+        obs::Registry::global().counter("gen.netlists_characterized");
+    util::ThreadPool::global().parallelFor(
+        pending.size(),
+        [&](std::size_t i) {
+            LibraryCircuit& c = pending[i].circuit;
+            c.error = cache::analyzeErrorCached(cache, pending[i].hash, c.netlist, analyzer);
+        },
+        0, cancel);
+    characterized.add(pending.size());
+    for (PendingCircuit& p : pending) library.push_back(std::move(p.circuit));
+}
+
 /// Collects raw generator output, then characterizes it in a three-stage
-/// pipeline: parallel simplify+hash, ordered dedup, parallel error
-/// analysis, ordered append.  The dedup and append stages walk candidates
-/// in submission order, so the resulting library is identical to the old
+/// pipeline: parallel simplify+hash, ordered dedup, then the report stage
+/// (`appendReported`).  The dedup and append stages walk candidates in
+/// submission order, so the resulting library is identical to a
 /// fully-serial accumulation no matter how many workers run.
 ///
 /// With a characterization cache both parallel stages become
@@ -48,12 +74,10 @@ public:
     }
 
     void characterizeInto(AcLibrary& library, std::unordered_set<std::uint64_t>& seen,
-                          ArithSignature sig, const error::ErrorAnalysisConfig& errorConfig,
+                          const error::ErrorAnalyzer& analyzer,
                           cache::CharacterizationCache* cache,
                           const util::CancellationToken* cancel = nullptr) {
         obs::Span span("characterize");
-        static obs::Counter& characterized =
-            obs::Registry::global().counter("gen.netlists_characterized");
         struct Prepared {
             Netlist simplified;
             std::uint64_t hash = 0;
@@ -73,32 +97,17 @@ public:
             },
             0, cancel);
 
-        std::vector<std::size_t> unique;
-        unique.reserve(prepared.size());
-        for (std::size_t i = 0; i < prepared.size(); ++i)
-            if (seen.insert(prepared[i].hash).second) unique.push_back(i);
-
-        std::vector<error::ErrorReport> reports(unique.size());
-        util::ThreadPool::global().parallelFor(
-            unique.size(),
-            [&](std::size_t u) {
-                const Prepared& p = prepared[unique[u]];
-                reports[u] =
-                    cache::analyzeErrorCached(cache, p.hash, p.simplified, sig, errorConfig);
-            },
-            0, cancel);
-
-        characterized.add(unique.size());
-        for (std::size_t u = 0; u < unique.size(); ++u) {
-            const std::size_t i = unique[u];
-            LibraryCircuit entry;
-            entry.name = prepared[i].simplified.name();
-            entry.origin = candidates_[i].origin;
-            entry.error = reports[u];
-            entry.netlist = std::move(prepared[i].simplified);
-            entry.signature = sig;
-            library.push_back(std::move(entry));
+        std::vector<PendingCircuit> pending;
+        for (std::size_t i = 0; i < prepared.size(); ++i) {
+            if (!seen.insert(prepared[i].hash).second) continue;
+            PendingCircuit& p = pending.emplace_back();
+            p.circuit.name = prepared[i].simplified.name();
+            p.circuit.origin = candidates_[i].origin;
+            p.circuit.netlist = std::move(prepared[i].simplified);
+            p.circuit.signature = analyzer.signature();
+            p.hash = prepared[i].hash;
         }
+        appendReported(library, pending, analyzer, cache, cancel);
         candidates_.clear();
     }
 
@@ -181,6 +190,16 @@ void addStructural(CandidateSet& acc, const LibraryConfig& config) {
         addMultiplierFamilies(acc, config.width);
 }
 
+/// The library's report analyzer.  The build-level token also rides
+/// inside every per-netlist analysis, so a stop request lands within a
+/// chunk's worth of work even when a single exhaustive sweep dominates the
+/// wall clock.
+error::ErrorAnalyzer reportAnalyzer(const LibraryConfig& config) {
+    error::ErrorAnalysisConfig errorConfig = config.errorConfig;
+    if (errorConfig.cancel == nullptr) errorConfig.cancel = config.cancel;
+    return error::ErrorAnalyzer(librarySignature(config), errorConfig);
+}
+
 }  // namespace
 
 AcLibrary buildStructuralFamilies(const LibraryConfig& config) {
@@ -188,10 +207,8 @@ AcLibrary buildStructuralFamilies(const LibraryConfig& config) {
     std::unordered_set<std::uint64_t> seen;
     CandidateSet candidates;
     addStructural(candidates, config);
-    error::ErrorAnalysisConfig errorConfig = config.errorConfig;
-    if (errorConfig.cancel == nullptr) errorConfig.cancel = config.cancel;
-    candidates.characterizeInto(library, seen, librarySignature(config), errorConfig,
-                                config.cache, config.cancel);
+    candidates.characterizeInto(library, seen, reportAnalyzer(config), config.cache,
+                                config.cancel);
     return library;
 }
 
@@ -201,24 +218,21 @@ AcLibrary buildLibrary(const LibraryConfig& config) {
         obs::Registry::global().histogram("gen.library_build_seconds");
     obs::ScopedTimer timer(buildSeconds);
     const ArithSignature sig = librarySignature(config);
+    const error::ErrorAnalyzer analyzer = reportAnalyzer(config);
     AcLibrary library;
     std::unordered_set<std::uint64_t> seen;
 
-    // The build-level token also rides inside every per-netlist analysis,
-    // so a stop request lands within a chunk's worth of work even when a
-    // single exhaustive sweep dominates the wall clock.
-    error::ErrorAnalysisConfig errorConfig = config.errorConfig;
-    if (errorConfig.cancel == nullptr) errorConfig.cancel = config.cancel;
-
     CandidateSet candidates;
     addStructural(candidates, config);
-    candidates.characterizeInto(library, seen, sig, errorConfig, config.cache, config.cancel);
+    candidates.characterizeInto(library, seen, analyzer, config.cache, config.cancel);
 
     if (!config.structuralOnly) {
         // Every (MED budget, seed architecture) pair is an independent
         // evolutionary run with its own seed: fan the runs out over the
         // pool, then fold the harvests back in the serial loop order so
-        // the library content and naming never depend on scheduling.
+        // the library content and naming never depend on scheduling.  The
+        // runs only evolve; the unique harvests are reported afterwards in
+        // the library's report stage.
         struct RunSpec {
             std::size_t budgetIdx;
             int seedArch;
@@ -239,13 +253,13 @@ AcLibrary buildLibrary(const LibraryConfig& config) {
                 options.lambda = config.cgpLambda;
                 options.generations = config.cgpGenerations;
                 options.seed = runs[r].seed;
-                options.reportConfig = errorConfig;
                 options.fitnessConfig.cancel = config.cancel;
                 CgpEvolver evolver(sig, options);
                 harvests[r] = evolver.run(cgpSeed(config, runs[r].seedArch));
             },
             0, config.cancel);
 
+        std::vector<PendingCircuit> pending;
         for (std::size_t r = 0; r < runs.size(); ++r) {
             int idx = 0;
             for (CgpHarvest& h : harvests[r]) {
@@ -253,17 +267,18 @@ AcLibrary buildLibrary(const LibraryConfig& config) {
                     (config.op == ArithOp::Adder ? "add" : "mul") + std::to_string(config.width) +
                     "_cgp_b" + std::to_string(runs[r].budgetIdx) + "_s" +
                     std::to_string(runs[r].seedArch) + "_" + std::to_string(idx++);
-                if (!seen.insert(h.netlist.structuralHash()).second) continue;
-                LibraryCircuit entry;
-                entry.name = name;
-                entry.origin = "cgp";
-                entry.netlist = std::move(h.netlist);
-                entry.netlist.setName(entry.name);
-                entry.signature = sig;
-                entry.error = h.error;
-                library.push_back(std::move(entry));
+                const std::uint64_t hash = h.netlist.structuralHash();
+                if (!seen.insert(hash).second) continue;
+                PendingCircuit& p = pending.emplace_back();
+                p.circuit.name = name;
+                p.circuit.origin = "cgp";
+                p.circuit.netlist = std::move(h.netlist);
+                p.circuit.netlist.setName(name);
+                p.circuit.signature = sig;
+                p.hash = hash;
             }
         }
+        appendReported(library, pending, analyzer, config.cache, config.cancel);
     }
 
     if (config.maxCircuits != 0 && library.size() > config.maxCircuits) {

@@ -36,7 +36,9 @@ struct LibraryConfig {
     int cgpLambda = 4;
     std::uint64_t seed = 0xA90F5;
 
-    /// Error-analysis policy for both CGP fitness and final reports.
+    /// Error-analysis policy of every library report, structural and CGP
+    /// alike (one analyzer per build).  CGP fitness does not use it: the
+    /// runs evaluate offspring under `CgpEvolver::Options::fitnessConfig`.
     error::ErrorAnalysisConfig errorConfig;
 
     /// Optional cap on the library size (0 = unlimited).  When capped, a

@@ -311,6 +311,7 @@ TEST_F(CacheTest, CrashConsistencyTortureNeverServesCorruptEntries) {
                                           gen::wallaceMultiplier(6)};
     const circuit::ArithSignature sig = gen::multiplierSignature(6);
     const error::ErrorAnalysisConfig errCfg;
+    const error::ErrorAnalyzer analyzer(sig, errCfg);
     std::vector<error::ErrorReport> golden;
     for (const circuit::Netlist& net : nets)
         golden.push_back(error::analyzeError(net, sig, errCfg));
@@ -318,7 +319,7 @@ TEST_F(CacheTest, CrashConsistencyTortureNeverServesCorruptEntries) {
     {
         CC writer(diskOptions());
         for (std::size_t i = 0; i < nets.size(); ++i)
-            analyzeErrorCached(&writer, nets[i].structuralHash(), nets[i], sig, errCfg);
+            analyzeErrorCached(&writer, nets[i].structuralHash(), nets[i], analyzer);
         writer.flush();
     }
 
@@ -345,7 +346,7 @@ TEST_F(CacheTest, CrashConsistencyTortureNeverServesCorruptEntries) {
         CC cache(diskOptions());
         for (std::size_t i = 0; i < nets.size(); ++i) {
             const error::ErrorReport r =
-                analyzeErrorCached(&cache, nets[i].structuralHash(), nets[i], sig, errCfg);
+                analyzeErrorCached(&cache, nets[i].structuralHash(), nets[i], analyzer);
             expectReportsBitIdentical(golden[i], r);
         }
         dropped += cache.stats().corruptEntriesDropped;

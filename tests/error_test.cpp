@@ -2,11 +2,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/multipliers.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace axf::error {
 namespace {
@@ -243,6 +245,103 @@ TEST(ErrorMetrics, ParallelMatchesSerialBitIdentical) {
             expectBitIdentical(analyzeError(net, sig, parallel), ref);
             expectBitIdentical(analyzeError(net, sig, capped), ref);
         }
+    }
+}
+
+TEST(ErrorMetrics, EmptySampledAnalysisRejected) {
+    // A sampled analysis without samples evaluates no vector; it used to
+    // report errorProbability 0, i.e. call any circuit exact.
+    const Netlist net = gen::truncatedAdder(16, 15);
+    const ErrorAnalysisConfig empty{/*exhaustiveLimit=*/1u << 12, /*sampleCount=*/0};
+    EXPECT_THROW(ErrorAnalyzer(adderSignature(16), empty), std::invalid_argument);
+    EXPECT_THROW(analyzeError(net, adderSignature(16), empty), std::invalid_argument);
+    EXPECT_THROW(isFunctionallyExact(net, adderSignature(16), empty), std::invalid_argument);
+    ErrorAnalysisConfig sampled = empty;
+    sampled.sampleCount = 1000;
+    EXPECT_FALSE(isFunctionallyExact(net, adderSignature(16), sampled));
+    // Exhaustive configs never read sampleCount.
+    const ErrorReport r = analyzeError(gen::truncatedAdder(4, 3), adderSignature(4), empty);
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_EQ(r.vectorsEvaluated, 256u);
+}
+
+/// FNV-1a over every field of each report (doubles by bit pattern).
+std::uint64_t digestReports(const std::vector<ErrorReport>& reports) {
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xFFu;
+            h *= 0x100000001B3ull;
+        }
+    };
+    for (const ErrorReport& r : reports) {
+        for (const double d : {r.med, r.meanAbsoluteError, r.worstCaseError, r.meanRelativeError,
+                               r.errorProbability, r.meanSquaredError})
+            mix(std::bit_cast<std::uint64_t>(d));
+        mix(r.vectorsEvaluated);
+        mix(r.exhaustive ? 1 : 0);
+    }
+    return h;
+}
+
+/// 47 16-bit adders (exact and the LOA / truncated / ETA sweeps).
+std::vector<Netlist> adders16() {
+    std::vector<Netlist> nets = {gen::rippleCarryAdder(16), gen::carryLookaheadAdder(16)};
+    for (int k = 1; k < 16; ++k) {
+        nets.push_back(gen::loaAdder(16, k));
+        nets.push_back(gen::truncatedAdder(16, k));
+        nets.push_back(gen::etaAdder(16, k));
+    }
+    return nets;
+}
+
+/// 42 8x8 multipliers (exact, truncated, broken-array and DRUM sweeps).
+std::vector<Netlist> multipliers8() {
+    std::vector<Netlist> nets = {gen::wallaceMultiplier(8), gen::arrayMultiplier(8)};
+    for (int t = 1; t <= 8; ++t) nets.push_back(gen::truncatedMultiplier(8, t));
+    for (int h = 0; h <= 8; ++h)
+        for (int v = 0; v <= 4; v += 2)
+            if (h + v > 0) nets.push_back(gen::brokenArrayMultiplier(8, h, v));
+    for (int k = 2; k < 8; ++k) nets.push_back(gen::drumMultiplier(8, k));
+    return nets;
+}
+
+TEST(ErrorAnalyzer, ReuseMatchesPerCallAnalysisBitForBit) {
+    // One analyzer serves a whole family, sequentially and from concurrent
+    // pool tasks, with the bits of a fresh analysis per netlist.  The
+    // digests were recorded with per-call analyses before the analyzer
+    // existed.  The sampled config spans three chunks plus a 100-vector
+    // partial last block; the exhaustive one covers 8 chunks.
+    ErrorAnalysisConfig sampled;
+    sampled.exhaustiveLimit = 1;  // force the sampled path
+    sampled.sampleCount = 3 * 8192 + 100;
+    struct Case {
+        ArithSignature sig;
+        ErrorAnalysisConfig config;
+        std::vector<Netlist> nets;
+        std::uint64_t golden;
+    };
+    const Case cases[] = {
+        {adderSignature(16), sampled, adders16(), 0xFB91E16D1AC6BD5Aull},
+        {multiplierSignature(8), ErrorAnalysisConfig{}, multipliers8(), 0x640C451666A8C2C5ull}};
+    for (const Case& c : cases) {
+        const ErrorAnalyzer analyzer(c.sig, c.config);
+        std::vector<ErrorReport> reused;
+        for (const Netlist& net : c.nets) {
+            reused.push_back(analyzer.analyze(net));
+            expectBitIdentical(reused.back(), analyzeError(net, c.sig, c.config));
+        }
+        EXPECT_EQ(reused.front().exhaustive, c.config.isExhaustiveFor(c.sig));
+        EXPECT_EQ(digestReports(reused), c.golden) << c.sig.toString();
+
+        // A fresh analyzer, so the first concurrent sweeps race to draw
+        // its stimulus and the later ones reuse it.
+        const ErrorAnalyzer fresh(c.sig, c.config);
+        std::vector<ErrorReport> concurrent(c.nets.size());
+        util::ThreadPool::global().parallelFor(
+            c.nets.size(), [&](std::size_t i) { concurrent[i] = fresh.analyze(c.nets[i]); });
+        for (std::size_t i = 0; i < c.nets.size(); ++i)
+            expectBitIdentical(concurrent[i], reused[i]);
     }
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
+#include "src/cache/characterization_cache.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/library.hpp"
+#include "src/util/bytes.hpp"
 
 namespace axf::gen {
 namespace {
@@ -38,6 +41,52 @@ TEST(Library, EntriesAreConsistent) {
         const error::ErrorReport fresh =
             error::analyzeError(entry.netlist, entry.signature, cfg.errorConfig);
         EXPECT_DOUBLE_EQ(entry.error.med, fresh.med) << entry.name;
+    }
+}
+
+/// A report's exact bits (its fixed-order cache encoding).
+std::vector<std::uint8_t> reportBits(const error::ErrorReport& report) {
+    util::ByteWriter out;
+    report.serialize(out);
+    return out.take();
+}
+
+TEST(Library, CgpReportsComeFromTheLibraryStage) {
+    // CGP runs only evolve; the library reports their unique harvests in
+    // its own stage, under its errorConfig and through its cache.
+    LibraryConfig cfg = smallConfig(circuit::ArithOp::Multiplier, 4);
+    cfg.medBudgets = {0.002, 0.02};
+    cache::CharacterizationCache cache;
+    cfg.cache = &cache;
+    const AcLibrary cold = buildLibrary(cfg);
+    std::size_t cgp = 0;
+    for (const LibraryCircuit& entry : cold) {
+        if (entry.origin != "cgp") continue;
+        ++cgp;
+        EXPECT_TRUE(entry.error.exhaustive) << entry.name;  // reporting-grade for 4x4
+        EXPECT_EQ(reportBits(entry.error),
+                  reportBits(error::analyzeError(entry.netlist, entry.signature, cfg.errorConfig)))
+            << entry.name;
+        const std::optional<error::ErrorReport> cached = cache.findError(
+            cache::CharacterizationCache::errorKey(entry.netlist.structuralHash(),
+                                                   entry.signature, cfg.errorConfig));
+        ASSERT_TRUE(cached.has_value()) << entry.name;
+        EXPECT_EQ(reportBits(*cached), reportBits(entry.error)) << entry.name;
+    }
+    ASSERT_GT(cgp, 0u);
+
+    // A warm rebuild over the same cache serves every report, CGP
+    // harvests included, as a hit: nothing misses, nothing is stored.
+    const cache::CacheStats before = cache.stats();
+    const AcLibrary warm = buildLibrary(cfg);
+    const cache::CacheStats after = cache.stats();
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.stores, before.stores);
+    EXPECT_GE(after.hits - before.hits, cold.size());
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+        EXPECT_EQ(warm[i].name, cold[i].name);
+        EXPECT_EQ(reportBits(warm[i].error), reportBits(cold[i].error)) << cold[i].name;
     }
 }
 
