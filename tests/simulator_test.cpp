@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
+
 #include "src/circuit/simulator.hpp"
+#include "src/gen/library.hpp"
+#include "src/synth/fpga.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
-
-#include <set>
 
 namespace axf::circuit {
 namespace {
@@ -172,6 +175,69 @@ TEST(EstimateToggleRates, ThreadCountInvariant) {
     const std::vector<double> many = estimateToggleRates(net, 0x7AB, 41, &parallel);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], many[i]) << "node " << i;
+}
+
+/// Random DAG over the full gate alphabet, constants included; every node
+/// that no output reads is dead logic.
+Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
+    static constexpr GateKind kAllKinds[] = {
+        GateKind::Const0, GateKind::Const1, GateKind::Buf,    GateKind::Not,
+        GateKind::And,    GateKind::Or,     GateKind::Xor,    GateKind::Nand,
+        GateKind::Nor,    GateKind::Xnor,   GateKind::AndNot, GateKind::OrNot,
+        GateKind::Mux,    GateKind::Maj};
+    Netlist net("random");
+    for (int i = 0; i < inputs; ++i) net.addInput();
+    for (int g = 0; g < gates; ++g) {
+        const GateKind kind = kAllKinds[rng.index(std::size(kAllKinds))];
+        const auto pick = [&] { return static_cast<NodeId>(rng.index(net.nodeCount())); };
+        if (kind == GateKind::Const0 || kind == GateKind::Const1)
+            net.addConst(kind == GateKind::Const1);
+        else
+            net.addGate(kind, pick(), pick(), pick());
+    }
+    for (int o = 0; o < outputs; ++o)
+        net.markOutput(static_cast<NodeId>(rng.index(net.nodeCount())));
+    return net;
+}
+
+TEST(EstimateToggleRates, MatchesGoldenDigest) {
+    // Pins the rates themselves (FNV-1a over every double's bits) at the
+    // FPGA flow's activity seed: the 8/16-bit adder and multiplier
+    // structural families plus random DAGs with constants and dead nodes.
+    // The block counts straddle chunk boundaries of 8 and of 15/16
+    // transitions, so any regrouping of the sweep shows up here.
+    std::vector<Netlist> corpus;
+    for (const ArithOp op : {ArithOp::Adder, ArithOp::Multiplier}) {
+        for (const int width : {8, 16}) {
+            gen::LibraryConfig config;
+            config.op = op;
+            config.width = width;
+            config.errorConfig = {/*exhaustiveLimit=*/0, /*sampleCount=*/64};
+            for (gen::LibraryCircuit& c : gen::buildStructuralFamilies(config))
+                corpus.push_back(std::move(c.netlist));
+        }
+    }
+    util::Rng rng(0x7066);
+    for (int k = 0; k < 30; ++k)
+        corpus.push_back(randomNetlist(2 + static_cast<int>(rng.index(9)),
+                                       10 + static_cast<int>(rng.index(70)),
+                                       1 + static_cast<int>(rng.index(6)), rng));
+    ASSERT_GT(corpus.size(), 100u);
+
+    const std::uint64_t seed = synth::FpgaFlow::Options{}.activitySeed;
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) h = (h ^ ((v >> (8 * byte)) & 0xFF)) * 1099511628211ull;
+    };
+    for (const Netlist& net : corpus) {
+        for (const int blocks : {2, 9, 16, 17, 24, 25, 31, 32, 41}) {
+            const std::vector<double> rates = estimateToggleRates(net, seed, blocks);
+            mix(rates.size());
+            for (const double r : rates) mix(std::bit_cast<std::uint64_t>(r));
+        }
+    }
+    EXPECT_EQ(h, 0xC9EB9CFB28A9917Cull) << std::hex << "digest 0x" << h << " over " << std::dec
+                         << corpus.size() << " netlists";
 }
 
 TEST(EstimateToggleRates, FewerThanTwoBlocksIsAllZero) {
