@@ -193,9 +193,8 @@ BENCHMARK(BM_CgpFitness);
 
 /// Exhaustive stuck-at campaign over the complete fault list of an 8x8
 /// multiplier (Arg(0) = exact Wallace, Arg(t) = truncated-t): the batched
-/// engine retires many faults per block pass by replaying only each
-/// fault's downstream cone; the sampled path additionally packs
-/// blockWords-1 faults per pass as lane groups.
+/// engine simulates each 1024-lane block once and retires every fault by
+/// replaying only its downstream cone against that reference.
 /// items_per_second = faults retired/sec.
 static void BM_FaultSweep(benchmark::State& state) {
     const circuit::Netlist net = state.range(0) == 0
@@ -216,6 +215,48 @@ static void BM_FaultSweep(benchmark::State& state) {
                             static_cast<std::int64_t>(faults));
 }
 BENCHMARK(BM_FaultSweep)->Arg(0)->Arg(4)->Arg(6);
+
+/// Sampled stuck-at campaign in the shape the Sobel DSE runs per menu
+/// entry: a 16-bit adder (Arg(0) = ripple-carry, Arg(k) = LOA-k) at 1024
+/// samples, i.e. one 1024-lane block of 16 sample batches per fault.
+/// items_per_second = faults retired/sec.
+static void BM_FaultSweepSampled(benchmark::State& state) {
+    const circuit::Netlist net = state.range(0) == 0
+                                     ? gen::rippleCarryAdder(16)
+                                     : gen::loaAdder(16, static_cast<int>(state.range(0)));
+    const circuit::ArithSignature sig = gen::adderSignature(16);
+    fault::CampaignConfig config;
+    config.analysis.threads = 1;
+    config.analysis.sampleCount = 1u << 10;
+    const std::size_t faults =
+        fault::enumerateFaultSites(circuit::CompiledNetlist::compile(net),
+                                   config.includeInputFaults, config.collapseEquivalent)
+            .sites.size();
+    for (auto _ : state) {
+        const fault::ResilienceReport r = fault::analyzeResilience(net, sig, config);
+        benchmark::DoNotOptimize(r.meanMedUnderFault);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(faults));
+}
+BENCHMARK(BM_FaultSweepSampled)->Arg(0)->Arg(6);
+
+/// Switching-activity estimation as the FPGA/ASIC power models run it:
+/// 24 stimulus blocks through the unpruned program on the global pool.
+/// Arg(0) = 8x8 Wallace multiplier, Arg(1) = 16-bit ripple-carry adder.
+/// items_per_second = stimulus vectors/sec.
+static void BM_ToggleRates(benchmark::State& state) {
+    const circuit::Netlist net =
+        state.range(0) == 0 ? gen::wallaceMultiplier(8) : gen::rippleCarryAdder(16);
+    constexpr int kBlocks = 24;
+    for (auto _ : state) {
+        const std::vector<double> rates =
+            circuit::estimateToggleRates(net, synth::FpgaFlow::Options{}.activitySeed, kBlocks);
+        benchmark::DoNotOptimize(rates.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBlocks * 64);
+}
+BENCHMARK(BM_ToggleRates)->Arg(0)->Arg(1);
 
 /// The naive campaign shape the batched sweep replaces: one fault per full
 /// sweep — mutate the netlist (stuck-at constant) and run one complete

@@ -520,33 +520,17 @@ CompiledNetlist::Stats CompiledNetlist::stats() const {
     return s;
 }
 
-void CompiledNetlist::initWorkspace(std::span<Word> workspace, std::size_t wordsPerSlot) const {
-    if (workspace.size() < workspaceWords(wordsPerSlot))
+void CompiledNetlist::initWorkspace(std::span<Word> workspace) const {
+    if (workspace.size() < workspaceWords())
         throw std::invalid_argument("CompiledNetlist::initWorkspace: workspace too small");
     for (const auto& [slot, value] : constants_) {
-        Word* words = workspace.data() + static_cast<std::size_t>(slot) * wordsPerSlot;
-        for (std::size_t w = 0; w < wordsPerSlot; ++w) words[w] = value ? ~Word{0} : Word{0};
+        Word* words = workspace.data() + static_cast<std::size_t>(slot) * kBlockWords;
+        for (std::size_t w = 0; w < kBlockWords; ++w) words[w] = value ? ~Word{0} : Word{0};
     }
 }
 
-namespace {
-
-/// The backend's kernel row for width W.
-template <std::size_t W>
-const std::array<kernels::KernelFn, kernels::kOpCount>& kernelsFor(
-    const kernels::Backend& backend) {
-    static_assert(W == 1 || W == kernels::kBlockWords,
-                  "kernels exist for W = 1 and W = kBlockWords only");
-    if constexpr (W == 1)
-        return backend.narrow;
-    else
-        return backend.run;
-}
-
-}  // namespace
-
-template <std::size_t W>
 void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
+    constexpr std::size_t W = kBlockWords;
     // The input/output block copies go through memcpy: caller buffers are
     // plain vectors with no alignment contract, and the compiler inlines
     // these to unaligned vector moves anyway.
@@ -556,7 +540,7 @@ void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
                     W * sizeof(Word));
     // One kernel call per same-opcode run.
     const kernels::Instr* instrs = instrs_.data();
-    const auto& row = kernelsFor<W>(*backend_);
+    const auto& row = backend_->run;
     for (const Run& r : runs_)
         row[static_cast<std::size_t>(r.op)](instrs + r.begin, r.end - r.begin, ws);
     const std::uint32_t* outSlots = outputSlots_.data();
@@ -565,68 +549,15 @@ void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
                     W * sizeof(Word));
 }
 
-template void CompiledNetlist::run<1>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<kernels::kBlockWords>(const Word*, Word*, Word*) const;
-
-namespace {
-
-template <std::size_t W>
-void applyFault(CompiledNetlist::Word* ws, const CompiledNetlist::InjectedFault& f) {
-    CompiledNetlist::Word* p = ws + static_cast<std::size_t>(f.slot) * W;
-    for (std::size_t w = 0; w < W; ++w) p[w] = f.stuckTo ? p[w] | f.mask[w] : p[w] & ~f.mask[w];
-}
-
-}  // namespace
-
-template <std::size_t W>
-void CompiledNetlist::runWithFaults(const Word* inputs, Word* outputs, Word* ws,
-                                    std::span<const InjectedFault> faults) const {
-    const std::uint32_t* inSlots = inputSlots_.data();
-    for (std::size_t i = 0; i < inputSlots_.size(); ++i)
-        std::memcpy(ws + static_cast<std::size_t>(inSlots[i]) * W, inputs + i * W,
-                    W * sizeof(Word));
-    std::size_t fi = 0;
-    while (fi < faults.size() && faults[fi].afterInstr == kFaultAtInputs)
-        applyFault<W>(ws, faults[fi++]);
-
-    const kernels::Instr* instrs = instrs_.data();
-    const auto& row = kernelsFor<W>(*backend_);
-    for (const Run& run : runs_) {
-        const kernels::KernelFn kernel = row[static_cast<std::size_t>(run.op)];
-        // Split the run at each faulted instruction; the kernels accept any
-        // contiguous sub-range and compute identical bits.
-        std::uint32_t pos = run.begin;
-        while (pos < run.end) {
-            const std::uint32_t stop =
-                (fi < faults.size() && faults[fi].afterInstr < run.end)
-                    ? faults[fi].afterInstr + 1
-                    : run.end;
-            kernel(instrs + pos, stop - pos, ws);
-            pos = stop;
-            while (fi < faults.size() && faults[fi].afterInstr == stop - 1)
-                applyFault<W>(ws, faults[fi++]);
-        }
-    }
-    const std::uint32_t* outSlots = outputSlots_.data();
-    for (std::size_t o = 0; o < outputSlots_.size(); ++o)
-        std::memcpy(outputs + o * W, ws + static_cast<std::size_t>(outSlots[o]) * W,
-                    W * sizeof(Word));
-}
-
-template void CompiledNetlist::runWithFaults<1>(const Word*, Word*, Word*,
-                                                std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<kernels::kBlockWords>(
-    const Word*, Word*, Word*, std::span<const InjectedFault>) const;
-
 void BatchSimulator::rebind(const CompiledNetlist& compiled) {
     if (compiled_ == &compiled) return;  // constants already in place
     compiled_ = &compiled;
-    const std::size_t needed = compiled.workspaceWords(kBlockWords) + kAlignWords;
+    const std::size_t needed = compiled.workspaceWords() + kAlignWords;
     if (storage_.size() < needed) storage_.assign(needed, 0);
     const std::size_t misalign =
         reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
     workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-    compiled.initWorkspace({workspace_, compiled.workspaceWords(kBlockWords)}, kBlockWords);
+    compiled.initWorkspace(workspace());
 }
 
 void BatchSimulator::evaluate(std::span<const Word> inputWords, std::span<Word> outputWords) {
@@ -634,7 +565,7 @@ void BatchSimulator::evaluate(std::span<const Word> inputWords, std::span<Word> 
         throw std::invalid_argument("BatchSimulator: input word count mismatch");
     if (outputWords.size() != compiled_->outputCount() * kBlockWords)
         throw std::invalid_argument("BatchSimulator: output word count mismatch");
-    compiled_->run<kBlockWords>(inputWords.data(), outputWords.data(), workspace_);
+    compiled_->run(inputWords.data(), outputWords.data(), workspace_);
 }
 
 }  // namespace axf::circuit

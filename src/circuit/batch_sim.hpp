@@ -29,10 +29,9 @@ namespace axf::circuit {
 /// bit-identical results; only instruction selection differs.
 ///
 /// Instruction operands are *slot* indices into a workspace of
-/// `slotCount() * W` words, where `W` is the number of 64-bit words carried
-/// per slot: `kBlockWords` (1024 lanes) for `BatchSimulator`, or 1 for the
-/// single-word paths (`Simulator`, activity estimation).  The per-gate
-/// dispatch is amortized over the W words and over whole same-opcode runs.
+/// `slotCount() * kBlockWords` words: every slot carries one 1024-lane
+/// block, and `run` is the one way a program executes.  The per-gate
+/// dispatch is amortized over the 16 words and over whole same-opcode runs.
 class CompiledNetlist {
 public:
     using Word = std::uint64_t;
@@ -105,56 +104,30 @@ public:
     std::span<const std::pair<std::uint32_t, bool>> constantSlots() const { return constants_; }
     const kernels::Backend& backend() const { return *backend_; }
 
-    /// Words per slot and lanes per sweep of `BatchSimulator` workspaces.
+    /// Words per slot and lanes per sweep of every workspace.
     static constexpr std::size_t blockWords() { return kBlockWords; }
     static constexpr std::size_t blockLanes() { return kBlockLanes; }
 
     Stats stats() const;
 
-    std::size_t workspaceWords(std::size_t wordsPerSlot) const {
-        return slotCount_ * wordsPerSlot;
-    }
+    /// Words of one workspace: slot s occupies [s * kBlockWords,
+    /// (s + 1) * kBlockWords).
+    std::size_t workspaceWords() const { return slotCount_ * kBlockWords; }
 
     /// Writes the constant-node words (done once per workspace; constants
     /// are never re-evaluated inside `run`).
-    void initWorkspace(std::span<Word> workspace, std::size_t wordsPerSlot) const;
+    void initWorkspace(std::span<Word> workspace) const;
 
-    /// Evaluates one block of W*64 lanes, W in {1, kBlockWords}.  `inputs`
-    /// is input-major (`inputCount() * W` words: input i occupies [i*W,
-    /// i*W+W)), `outputs` likewise.  `workspace` must hold
-    /// `workspaceWords(W)` words, be aligned to `sizeof(Word)` (8 bytes —
-    /// the generic kernels access slots through an aligned(8) vector type
-    /// and AVX-512 uses unaligned loads/stores; `BatchSimulator`
-    /// 128-byte-aligns its workspace anyway so slots never straddle cache
-    /// lines)
-    /// and have been initialized with `initWorkspace` once.  The
-    /// input/output buffers carry no alignment requirement.
-    template <std::size_t W>
+    /// Evaluates one 1024-lane block.  `inputs` is input-major
+    /// (`inputCount() * kBlockWords` words: input i occupies
+    /// [i * kBlockWords, (i + 1) * kBlockWords)), `outputs` likewise.
+    /// `workspace` must hold `workspaceWords()` words, be aligned to
+    /// `sizeof(Word)` (8 bytes — the generic kernels access slots through
+    /// an aligned(8) vector type and AVX-512 uses unaligned loads/stores;
+    /// `BatchSimulator` 128-byte-aligns its workspace anyway so slots never
+    /// straddle cache lines) and have been initialized with `initWorkspace`
+    /// once.  The input/output buffers carry no alignment requirement.
     void run(const Word* inputs, Word* outputs, Word* workspace) const;
-
-    /// A stuck-at override applied during `runWithFaults`: after the write
-    /// of instruction `afterInstr` (or after the input block copy when
-    /// `afterInstr == kFaultAtInputs`), slot `slot` is forced to the stuck
-    /// value on every lane selected by `mask` (only the first W words of
-    /// the mask are consulted for a width-W run).
-    struct InjectedFault {
-        std::uint32_t afterInstr = 0;
-        std::uint32_t slot = 0;
-        std::array<Word, kBlockWords> mask{};
-        bool stuckTo = false;
-    };
-    /// `afterInstr` sentinel for faults on primary-input slots.
-    static constexpr std::uint32_t kFaultAtInputs = 0xFFFFFFFFu;
-
-    /// `run<W>` with stuck-at overrides.  `faults` must be ordered with
-    /// input-stage faults first, then ascending `afterInstr` (several
-    /// faults may share one instruction).  A run containing a fault
-    /// boundary is split into sub-ranges; the kernels compute bit-identical
-    /// results on any contiguous sub-range.  With an empty fault list this
-    /// is exactly `run<W>`.
-    template <std::size_t W>
-    void runWithFaults(const Word* inputs, Word* outputs, Word* workspace,
-                       std::span<const InjectedFault> faults) const;
 
 private:
     std::vector<kernels::Instr> instrs_;
@@ -181,15 +154,14 @@ public:
     static constexpr std::size_t kBlockLanes = CompiledNetlist::kBlockLanes;
 
     explicit BatchSimulator(const CompiledNetlist& compiled)
-        : compiled_(&compiled),
-          storage_(compiled.workspaceWords(kBlockWords) + kAlignWords, 0) {
+        : compiled_(&compiled), storage_(compiled.workspaceWords() + kAlignWords, 0) {
         // 128-byte-align the workspace: slots are 128-byte regions, and a
         // lesser-aligned base would make them straddle cache lines (split
         // vector loads/stores on every gate).
         std::size_t misalign =
             reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
         workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-        compiled.initWorkspace({workspace_, compiled.workspaceWords(kBlockWords)}, kBlockWords);
+        compiled.initWorkspace(workspace());
     }
 
     // The aligned view points into storage_: moves keep it valid (the heap
@@ -217,6 +189,13 @@ public:
 
     const CompiledNetlist& compiled() const { return *compiled_; }
 
+    /// The bound program's slot planes as the last `evaluate` left them
+    /// (`compiled().workspaceWords()` words; slot s at [s * blockWords(),
+    /// (s + 1) * blockWords())).  Readers take per-node values from it
+    /// (slot == node id in a `pruneDead = false` program); the fault
+    /// campaign replays fan-out cones in it.
+    std::span<Word> workspace() { return {workspace_, compiled_->workspaceWords()}; }
+
 private:
     static constexpr std::size_t kAlignWords = 16;  ///< 128 bytes
 
@@ -231,13 +210,13 @@ inline constexpr std::array<CompiledNetlist::Word, 6> kExhaustiveLanePattern = {
     0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
 
-/// Fills an input-major block (`totalBits * W` words) so that lane L of the
-/// block carries input index `base + L`, for W words of 64 lanes each.
-/// `base` must be a multiple of `W * 64`.
-template <std::size_t W = CompiledNetlist::kBlockWords>
+/// Fills an input-major block (`totalBits * kBlockWords` words) so that
+/// lane L of the block carries input index `base + L`.  `base` must be a
+/// multiple of `kBlockLanes`.
 inline void fillExhaustiveBlock(std::span<CompiledNetlist::Word> inputWords, int totalBits,
                                 std::uint64_t base) {
     using Word = CompiledNetlist::Word;
+    constexpr std::size_t W = CompiledNetlist::kBlockWords;
     for (int bit = 0; bit < totalBits; ++bit) {
         Word* words = inputWords.data() + static_cast<std::size_t>(bit) * W;
         if (bit < 6) {

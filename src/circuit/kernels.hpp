@@ -11,10 +11,9 @@ namespace axf::circuit::kernels {
 
 using Word = std::uint64_t;
 
-/// Block width of the wide kernels in words per workspace slot: W = 16,
-/// 1024 lanes per dispatch.  Every backend instantiates one generic run
-/// kernel per opcode at this width and at W = 1 (64 lanes: `Simulator`,
-/// toggle-rate estimation), plus the lane codecs.
+/// Block width in words per workspace slot: W = 16, 1024 lanes per
+/// dispatch.  The one width every compiled program runs at: each backend
+/// provides one run kernel per opcode at this width, plus the lane codecs.
 inline constexpr std::size_t kBlockWords = 16;
 inline constexpr std::size_t kBlockLanes = kBlockWords * 64;
 
@@ -122,7 +121,7 @@ struct Instr {
 };
 
 /// Evaluates one maximal same-opcode run of `count` instructions against a
-/// workspace of (slotCount * W) words.  The instruction pointer addresses
+/// workspace of (slotCount * kBlockWords) words.  The instruction pointer addresses
 /// the first instruction of the run; any contiguous sub-range of a run is a
 /// valid call.  Workspaces need only natural `Word` (8-byte) alignment.
 using KernelFn = void (*)(const Instr* instrs, std::uint32_t count, Word* ws);
@@ -161,20 +160,12 @@ struct Backend {
     /// fails to build (an aggregate brace-init would value-initialize the
     /// missing tail to nullptr).
     constexpr Backend(const char* name_, std::array<KernelFn, kOpCount> run_,
-                      std::array<KernelFn, kOpCount> narrow_, Encode16Fn encode16_,
-                      Decode16Fn decode16_, Decode32Fn decode32_)
-        : name(name_),
-          run(run_),
-          narrow(narrow_),
-          encode16(encode16_),
-          decode16(decode16_),
-          decode32(decode32_) {}
+                      Encode16Fn encode16_, Decode16Fn decode16_, Decode32Fn decode32_)
+        : name(name_), run(run_), encode16(encode16_), decode16(decode16_), decode32(decode32_) {}
 
     const char* name;
     /// Per-run kernels at W = kBlockWords (1024 lanes per dispatch).
     std::array<KernelFn, kOpCount> run;
-    /// Per-run kernels at W = 1 (64 lanes; `Simulator`, activity).
-    std::array<KernelFn, kOpCount> narrow;
     /// Lane codecs at W = kBlockWords.
     Encode16Fn encode16;
     Decode16Fn decode16;

@@ -15,8 +15,8 @@ namespace avx2_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"avx2", kGenericRun, kGenericNarrow,
-                              &encode16Generic, &decode16Generic, &decode32Generic};
+constexpr Backend kBackend = {"avx2", kGenericRun, &encode16Generic, &decode16Generic,
+                              &decode32Generic};
 
 }  // namespace avx2_impl
 

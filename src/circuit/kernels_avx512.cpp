@@ -21,8 +21,6 @@
 namespace axf::circuit::kernels {
 namespace avx512_impl {
 
-#include "src/circuit/kernels_generic.inc"
-
 /// vpternlogq immediate: result bit = imm[(A << 2) | (B << 1) | C] for
 /// operand order ternarylogic(a, b, c, imm) — exactly the layout of the
 /// shared `opTruthTable`, so the immediate IS the truth table.  No
@@ -182,8 +180,8 @@ void decode32Avx512(const Word* planes, std::size_t bits, std::uint32_t* out) {
     }
 }
 
-constexpr Backend kBackend = {"avx512", kRun, kGenericNarrow,
-                              &encode16Avx512, &decode16Avx512, &decode32Avx512};
+constexpr Backend kBackend = {"avx512", kRun, &encode16Avx512, &decode16Avx512,
+                              &decode32Avx512};
 
 }  // namespace avx512_impl
 

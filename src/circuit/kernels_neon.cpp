@@ -14,8 +14,8 @@ namespace neon_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"neon", kGenericRun, kGenericNarrow,
-                              &encode16Generic, &decode16Generic, &decode32Generic};
+constexpr Backend kBackend = {"neon", kGenericRun, &encode16Generic, &decode16Generic,
+                              &decode32Generic};
 
 }  // namespace neon_impl
 

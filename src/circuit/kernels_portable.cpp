@@ -11,8 +11,8 @@ namespace portable_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"portable", kGenericRun, kGenericNarrow,
-                              &encode16Generic, &decode16Generic, &decode32Generic};
+constexpr Backend kBackend = {"portable", kGenericRun, &encode16Generic, &decode16Generic,
+                              &decode32Generic};
 
 }  // namespace portable_impl
 

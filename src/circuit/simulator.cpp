@@ -3,24 +3,53 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/util/rng.hpp"
+#include "src/circuit/batch_sim.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace axf::circuit {
 
 Simulator::Simulator(const Netlist& netlist)
-    : netlist_(netlist),
-      compiled_(CompiledNetlist::compile(netlist, {.pruneDead = false})),
-      values_(netlist.nodeCount(), 0) {
-    compiled_.initWorkspace(values_, 1);
-}
+    : netlist_(netlist), values_(netlist.nodeCount(), 0) {}
 
 void Simulator::evaluate(std::span<const Word> inputWords, std::span<Word> outputWords) {
     if (inputWords.size() != netlist_.inputCount())
         throw std::invalid_argument("Simulator: input word count mismatch");
     if (outputWords.size() != netlist_.outputCount())
         throw std::invalid_argument("Simulator: output word count mismatch");
-    compiled_.run<1>(inputWords.data(), outputWords.data(), values_.data());
+    const std::span<const NodeId> inputs = netlist_.inputs();
+    for (std::size_t i = 0; i < inputs.size(); ++i) values_[inputs[i]] = inputWords[i];
+    const std::span<const Node> nodes = netlist_.nodes();
+    Word* const values = values_.data();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const Node& n = nodes[i];
+        Word v = 0;
+        switch (n.kind) {
+            case GateKind::Input: continue;
+            case GateKind::Const0: v = 0; break;
+            case GateKind::Const1: v = ~Word{0}; break;
+            case GateKind::Buf: v = values[n.a]; break;
+            case GateKind::Not: v = ~values[n.a]; break;
+            case GateKind::And: v = values[n.a] & values[n.b]; break;
+            case GateKind::Or: v = values[n.a] | values[n.b]; break;
+            case GateKind::Xor: v = values[n.a] ^ values[n.b]; break;
+            case GateKind::Nand: v = ~(values[n.a] & values[n.b]); break;
+            case GateKind::Nor: v = ~(values[n.a] | values[n.b]); break;
+            case GateKind::Xnor: v = ~(values[n.a] ^ values[n.b]); break;
+            case GateKind::AndNot: v = values[n.a] & ~values[n.b]; break;
+            case GateKind::OrNot: v = values[n.a] | ~values[n.b]; break;
+            case GateKind::Mux:
+                v = (values[n.c] & values[n.b]) | (~values[n.c] & values[n.a]);
+                break;
+            case GateKind::Maj: {
+                const Word a = values[n.a], b = values[n.b], c = values[n.c];
+                v = (a & b) | (a & c) | (b & c);
+                break;
+            }
+        }
+        values[i] = v;
+    }
+    const std::span<const NodeId> outputs = netlist_.outputs();
+    for (std::size_t o = 0; o < outputs.size(); ++o) outputWords[o] = values[outputs[o]];
 }
 
 std::uint64_t Simulator::evaluateScalar(std::uint64_t inputBits) {
@@ -78,12 +107,6 @@ std::uint64_t mixSeed(std::uint64_t x) {
     return x ^ (x >> 31);
 }
 
-/// Transitions per chunk.  Fixed (never derived from the thread count) so
-/// the chunk decomposition is identical no matter how many workers run it;
-/// the default 24-block estimation splits into 3 chunks, enough
-/// granularity for the flows' nested use under a parallel library build.
-constexpr std::uint64_t kTransitionsPerChunk = 8;
-
 }  // namespace
 
 void fillActivityBlock(std::uint64_t seed, std::uint64_t b,
@@ -103,53 +126,53 @@ void fillActivityBlock(std::uint64_t seed, std::uint64_t b,
 
 std::vector<double> estimateToggleRates(const Netlist& netlist, std::uint64_t seed, int blocks,
                                         util::ThreadPool* pool) {
+    using Word = CompiledNetlist::Word;
+    constexpr std::size_t kWords = CompiledNetlist::kBlockWords;
+    // Transition t in [1, blocks) toggles block t-1 -> t.  Run r carries
+    // blocks [r*K, r*K + kWords) and owns transitions (r*K, r*K + K]: its
+    // first word repeats the previous run's last block.
+    constexpr std::uint64_t kTransitionsPerRun = kWords - 1;
     std::vector<double> rates(netlist.nodeCount(), 0.0);
     if (blocks < 2) return rates;
-
-    // Transition t in [1, blocks) toggles block t-1 -> t; chunk c owns the
-    // fixed transition range [1 + c*K, 1 + (c+1)*K) and evaluates blocks
-    // [first-1, last], so every cross-chunk transition is counted exactly
-    // once by the chunk that owns it.
     const std::uint64_t transitions = static_cast<std::uint64_t>(blocks) - 1;
-    const std::size_t chunkCount =
-        static_cast<std::size_t>((transitions + kTransitionsPerChunk - 1) / kTransitionsPerChunk);
+    const auto runs =
+        static_cast<std::size_t>((transitions + kTransitionsPerRun - 1) / kTransitionsPerRun);
 
-    // Compile once without pruning (slot == node id, like `Simulator`);
-    // every chunk gets its own workspace over the shared program.
+    // Compiled once without pruning, so slot i holds node i.
     const CompiledNetlist compiled = CompiledNetlist::compile(netlist, {.pruneDead = false});
     const std::size_t nodes = netlist.nodeCount();
-
-    std::vector<std::vector<std::uint64_t>> parts(chunkCount);
-    const auto runChunk = [&](std::size_t c) {
-        const std::uint64_t firstTransition = 1 + static_cast<std::uint64_t>(c) * kTransitionsPerChunk;
-        const std::uint64_t lastTransition =
-            std::min<std::uint64_t>(transitions, firstTransition + kTransitionsPerChunk - 1);
-        std::vector<Simulator::Word> values(nodes, 0), previous(nodes, 0);
-        std::vector<Simulator::Word> in(netlist.inputCount());
-        std::vector<Simulator::Word> out(netlist.outputCount());
-        compiled.initWorkspace(values, 1);
-        std::vector<std::uint64_t> toggles(nodes, 0);
-        for (std::uint64_t b = firstTransition - 1; b <= lastTransition; ++b) {
-            fillActivityBlock(seed, b, in);
-            compiled.run<1>(in.data(), out.data(), values.data());
-            if (b >= firstTransition)
-                for (std::size_t i = 0; i < nodes; ++i)
-                    toggles[i] += static_cast<std::uint64_t>(
-                        __builtin_popcountll(values[i] ^ previous[i]));
-            previous.assign(values.begin(), values.end());
+    const std::size_t inputs = netlist.inputCount();
+    std::vector<std::uint64_t> counts(runs * nodes, 0);
+    const auto sweep = [&](std::size_t r) {
+        const std::uint64_t first = r * kTransitionsPerRun;
+        const auto words =
+            static_cast<std::size_t>(std::min(kWords, transitions + 1 - first));
+        std::vector<Word> in(inputs * kWords, 0), out(netlist.outputCount() * kWords);
+        std::vector<Word> block(inputs);
+        for (std::size_t w = 0; w < words; ++w) {
+            fillActivityBlock(seed, first + w, block);
+            for (std::size_t i = 0; i < inputs; ++i) in[i * kWords + w] = block[i];
         }
-        parts[c] = std::move(toggles);
+        BatchSimulator sim(compiled);
+        sim.evaluate(in, out);
+        const Word* values = sim.workspace().data();
+        std::uint64_t* count = counts.data() + r * nodes;
+        for (std::size_t i = 0; i < nodes; ++i) {
+            const Word* v = values + i * kWords;
+            std::uint64_t toggles = 0;
+            for (std::size_t w = 1; w < words; ++w)
+                toggles += static_cast<std::uint64_t>(__builtin_popcountll(v[w] ^ v[w - 1]));
+            count[i] = toggles;
+        }
     };
-    (pool != nullptr ? *pool : util::ThreadPool::global()).parallelFor(chunkCount, runChunk);
+    (pool != nullptr ? *pool : util::ThreadPool::global()).parallelFor(runs, sweep);
 
-    // Ordered merge (integer counts: associative, but the order is kept
-    // fixed anyway so the pattern matches the FP-sensitive consumers).
-    std::vector<std::uint64_t> total(nodes, 0);
-    for (const std::vector<std::uint64_t>& part : parts)
-        for (std::size_t i = 0; i < nodes; ++i) total[i] += part[i];
     const double denom = static_cast<double>(transitions * 64);
-    for (std::size_t i = 0; i < nodes; ++i)
-        rates[i] = static_cast<double>(total[i]) / denom;
+    for (std::size_t i = 0; i < nodes; ++i) {
+        std::uint64_t total = 0;
+        for (std::size_t r = 0; r < runs; ++r) total += counts[r * nodes + i];
+        rates[i] = static_cast<double>(total) / denom;
+    }
     return rates;
 }
 

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "src/circuit/batch_sim.hpp"
 #include "src/circuit/netlist.hpp"
 
 namespace axf::util {
@@ -13,25 +12,27 @@ class ThreadPool;
 
 namespace axf::circuit {
 
-/// 64-way bit-parallel netlist evaluator.
+/// Per-node reference interpreter, 64 lanes per sweep.
 ///
-/// One `Word` carries 64 independent test vectors through a single sweep of
-/// the node array, which makes exhaustive 8-bit error analysis (65,536
-/// vectors = 1,024 sweeps) cheap enough to run inside unit tests.
+/// One `Word` carries 64 independent test vectors through a single pass
+/// over the node array, one `switch` per node in node-id order.  It shares
+/// no code with the compiled engine (`CompiledNetlist`, the kernel
+/// backends): it is the oracle the compiler and fault tests check against,
+/// the evaluator `error::analyzeErrorBaseline` runs on, and the reference
+/// `ActivityCounter` counts toggles with.  Hot paths sweep through
+/// `BatchSimulator` (1024 lanes per run, pruned and fused) instead.
 ///
-/// Since the compiled-engine refactor this is a thin wrapper over
-/// `CompiledNetlist` run at one word per slot, compiled *without* dead-node
-/// pruning so `nodeValues()` still exposes every node (the activity-based
-/// power models depend on that).  Hot paths that sweep many vectors should
-/// prefer `BatchSimulator` (1024 lanes per sweep, pruned).
-///
-/// The evaluator keeps a scratch buffer sized to the netlist, so a single
-/// instance is not thread-safe; create one per thread if parallelizing.
+/// The interpreter keeps a reference to its netlist and a one-word-per-node
+/// scratch buffer, so a single instance is not thread-safe; create one per
+/// thread if parallelizing.
 class Simulator {
 public:
     using Word = std::uint64_t;
 
     explicit Simulator(const Netlist& netlist);
+    /// A temporary netlist would dangle: the interpreter reads it on every
+    /// evaluate.
+    Simulator(const Netlist&&) = delete;
 
     /// Evaluates one 64-lane block.  `inputWords[i]` supplies the lanes of
     /// the i-th primary input; `outputWords[i]` receives the lanes of the
@@ -50,13 +51,13 @@ public:
 
 private:
     const Netlist& netlist_;
-    CompiledNetlist compiled_;      ///< all nodes preserved: slot == node id
-    std::vector<Word> values_;      ///< one-word-per-node workspace
+    std::vector<Word> values_;      ///< one word per node
     std::vector<Word> scalarIn_;    ///< reused by evaluateScalar
     std::vector<Word> scalarOut_;
 };
 
-/// Per-node toggle counter for the activity-based power models.
+/// Per-node toggle counter for the activity-based power models, on the
+/// reference interpreter.
 ///
 /// `accumulate` runs a block and counts, per node, in how many of the lane
 /// pairs (lane i of the previous block vs lane i of this block) the node
@@ -65,16 +66,14 @@ private:
 class ActivityCounter {
 public:
     explicit ActivityCounter(const Netlist& netlist);
+    /// Keeps a reference to the netlist, like `Simulator`.
+    ActivityCounter(const Netlist&&) = delete;
 
     void accumulate(std::span<const Simulator::Word> inputWords);
 
     /// Toggle probability per node in [0, 1]; meaningful after >= 2 blocks.
     std::vector<double> toggleRates() const;
     std::size_t blocksSeen() const { return blocks_; }
-
-    /// Raw per-node toggle counts accumulated so far (ordered-merge hook
-    /// for the chunk-parallel estimator and its differential tests).
-    std::span<const std::uint64_t> toggleCounts() const { return toggles_; }
 
 private:
     const Netlist& netlist_;
@@ -88,22 +87,22 @@ private:
 /// Fills the 64-lane stimulus block `b` of the activity-estimation stream
 /// derived from `seed`: every lane bit an independent fair coin, the block
 /// a pure function of (seed, b).  Addressable blocks are what make the
-/// estimation chunk-parallel — any worker can regenerate any block,
-/// including a chunk's predecessor, without replaying the whole stream.
+/// estimation parallel — any worker can regenerate any block, including
+/// the one its run shares with the previous run, without replaying the
+/// whole stream.
 void fillActivityBlock(std::uint64_t seed, std::uint64_t b,
                        std::span<Simulator::Word> inputWords);
 
 /// Per-node toggle rates over `blocks` stimulus blocks (see
-/// `fillActivityBlock`), estimated thread-parallel with the same
-/// chunk-deterministic pattern as `error::analyzeError`: the transition
-/// sequence is cut into fixed-size chunks (never derived from the thread
-/// count), each chunk re-evaluates its predecessor block and counts its
-/// own transitions on a private counter, and the per-chunk counts merge in
-/// block order — so the result is bit-identical at any thread count, and
-/// identical to feeding the same blocks through one `ActivityCounter`.
-///
-/// `pool` selects the thread pool (nullptr = the process-global pool); the
-/// netlist is compiled once and shared read-only across workers.
+/// `fillActivityBlock`), identical to feeding the same blocks through one
+/// `ActivityCounter`.  The netlist is compiled once without pruning (slot
+/// == node id) and each run of the program carries 16 consecutive blocks,
+/// one per word of the 1024-lane block: run c evaluates blocks [15c,
+/// 15c + 16) and counts the toggles between adjacent words, so every
+/// transition is counted exactly once, by the run that holds both of its
+/// blocks.  The runs are independent tasks on `pool` (nullptr = the
+/// process-global pool) and the counts are integers, so the rates are
+/// bit-identical at any thread count.
 std::vector<double> estimateToggleRates(const Netlist& netlist, std::uint64_t seed, int blocks,
                                         util::ThreadPool* pool = nullptr);
 

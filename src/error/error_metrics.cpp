@@ -189,45 +189,10 @@ ErrorReport analyzeErrorBaseline(const circuit::Netlist& netlist,
     checkOperands(sig);
     checkInterface(netlist, sig);
 
-    // The seed implementation, verbatim: one-word-at-a-time interpreter
-    // sweeps (per-node switch, frozen here so later Simulator improvements
-    // cannot shift the reference), one scalar accumulation chain,
-    // count-trailing-zeros output decode.
-    std::vector<Word> values(netlist.nodeCount(), 0);
-    const auto interpret = [&](std::span<const Word> inputWords, std::span<Word> outputWords) {
-        const std::span<const circuit::Node> nodes = netlist.nodes();
-        std::size_t nextInput = 0;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const circuit::Node& n = nodes[i];
-            Word v = 0;
-            switch (n.kind) {
-                case circuit::GateKind::Input: v = inputWords[nextInput++]; break;
-                case circuit::GateKind::Const0: v = 0; break;
-                case circuit::GateKind::Const1: v = ~Word{0}; break;
-                case circuit::GateKind::Buf: v = values[n.a]; break;
-                case circuit::GateKind::Not: v = ~values[n.a]; break;
-                case circuit::GateKind::And: v = values[n.a] & values[n.b]; break;
-                case circuit::GateKind::Or: v = values[n.a] | values[n.b]; break;
-                case circuit::GateKind::Xor: v = values[n.a] ^ values[n.b]; break;
-                case circuit::GateKind::Nand: v = ~(values[n.a] & values[n.b]); break;
-                case circuit::GateKind::Nor: v = ~(values[n.a] | values[n.b]); break;
-                case circuit::GateKind::Xnor: v = ~(values[n.a] ^ values[n.b]); break;
-                case circuit::GateKind::AndNot: v = values[n.a] & ~values[n.b]; break;
-                case circuit::GateKind::OrNot: v = values[n.a] | ~values[n.b]; break;
-                case circuit::GateKind::Mux:
-                    v = (values[n.c] & values[n.b]) | (~values[n.c] & values[n.a]);
-                    break;
-                case circuit::GateKind::Maj: {
-                    const Word a = values[n.a], b = values[n.b], c = values[n.c];
-                    v = (a & b) | (a & c) | (b & c);
-                    break;
-                }
-            }
-            values[i] = v;
-        }
-        const std::span<const circuit::NodeId> outs = netlist.outputs();
-        for (std::size_t i = 0; i < outs.size(); ++i) outputWords[i] = values[outs[i]];
-    };
+    // The seed implementation: 64-lane sweeps of the per-node reference
+    // interpreter (no compiled program, no kernel backend), one scalar
+    // accumulation chain, count-trailing-zeros output decode.
+    Simulator sim(netlist);
 
     struct ScalarAccumulator {
         double absSum = 0.0, relSum = 0.0, sqSum = 0.0;
@@ -278,7 +243,7 @@ ErrorReport analyzeErrorBaseline(const circuit::Netlist& netlist,
                 else
                     in[static_cast<std::size_t>(bit)] = (base >> bit) & 1u ? ~Word{0} : Word{0};
             }
-            interpret(in, out);
+            sim.evaluate(in, out);
             consume64(lanes, [&](std::size_t lane) {
                 const std::uint64_t x = base + lane;
                 return sig.exact(x & maskA, x >> sig.widthA);
@@ -293,7 +258,7 @@ ErrorReport analyzeErrorBaseline(const circuit::Netlist& netlist,
                 static_cast<std::size_t>(std::min<std::uint64_t>(64, remaining));
             for (int bit = 0; bit < totalBits; ++bit)
                 in[static_cast<std::size_t>(bit)] = rng.uniformInt(0, ~std::uint64_t{0});
-            interpret(in, out);
+            sim.evaluate(in, out);
             for (std::size_t lane = 0; lane < lanes; ++lane) {
                 std::uint64_t a = 0, b = 0;
                 for (int bit = 0; bit < sig.widthA; ++bit)

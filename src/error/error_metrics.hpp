@@ -132,9 +132,10 @@ private:
 ErrorReport analyzeError(const circuit::Netlist& netlist, const circuit::ArithSignature& sig,
                          const ErrorAnalysisConfig& config = {});
 
-/// Reference implementation on the one-word-at-a-time interpreter
-/// (`Simulator`), retained for differential testing and as the benchmark
-/// baseline the compiled engine is measured against.  Always serial.
+/// Reference implementation on the per-node interpreter (`Simulator`, 64
+/// lanes per sweep; no compiled program and no kernel backend), retained
+/// for differential testing and as the benchmark baseline the compiled
+/// engine is measured against.  Always serial.
 ErrorReport analyzeErrorBaseline(const circuit::Netlist& netlist,
                                  const circuit::ArithSignature& sig,
                                  const ErrorAnalysisConfig& config = {});

@@ -9,8 +9,13 @@
 #include "src/circuit/netlist.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/util/bytes.hpp"
+#include "src/verify/absint.hpp"
 
 namespace axf::fault {
+
+/// `FaultSite::afterInstr` of a primary-input site (shared with
+/// `verify::StuckSite`, the form the static skip proves sites in).
+using verify::kFaultAtInputs;
 
 /// One stuck-at fault location in a compiled program: the output plane of
 /// an emitted instruction (including the carry plane of a dual-destination
@@ -23,8 +28,8 @@ struct FaultSite {
     /// output (opcode fusion preserves every surviving node's function).
     circuit::NodeId node = circuit::kInvalidNode;
     std::uint32_t slot = 0;
-    /// Producing instruction index, or CompiledNetlist::kFaultAtInputs for
-    /// primary-input sites.
+    /// Producing instruction index, or `kFaultAtInputs` for primary-input
+    /// sites.
     std::uint32_t afterInstr = 0;
     bool stuckTo = false;
     bool isInput = false;
@@ -123,16 +128,19 @@ struct ResilienceReport {
 /// over threads is a fixed-size fault partition that never depends on the
 /// thread count.
 ///
-/// Exhaustive spaces use per-fault plane-flip replays against a shared
-/// fault-free reference sweep: the reference block is simulated once,
-/// each fault re-executes only its fan-out cone, and blocks where the
-/// fault does not reach an output reuse the nominal partial accumulator
-/// outright.  Sampled spaces pack fifteen faults plus the fault-free
-/// reference into one 1024-lane block (64 lanes each) and compute
-/// per-fault deviation in-register against the reference lane group.
+/// Both modes replay cones against a shared fault-free reference sweep:
+/// each 1024-lane block is simulated once, each fault re-executes only
+/// its fan-out cone, and blocks where the fault does not reach an output
+/// reuse the nominal partial accumulators outright.  Exhaustive blocks
+/// enumerate the input space and accumulate in 256-lane partials.  Sampled
+/// blocks carry 16 consecutive 64-lane sample batches, one per word: batch
+/// b is drawn from its own stream `mixSeed(seed + b)` and folds into its
+/// own partial, merged in batch order; lanes past `sampleCount` are
+/// masked out.
 ///
-/// Throws std::invalid_argument on an interface mismatch or an operand
-/// wider than 32 bits (as `analyzeError` does).
+/// Throws std::invalid_argument on an interface mismatch, an operand wider
+/// than 32 bits or a sampled campaign without samples (as `analyzeError`
+/// does).
 ResilienceReport analyzeResilience(const circuit::Netlist& netlist,
                                    const circuit::ArithSignature& sig,
                                    const CampaignConfig& config = {});

@@ -101,7 +101,7 @@ std::vector<Ternary> absRunProgram(const CompiledNetlist& compiled,
     const std::span<const std::uint32_t> inSlots = compiled.inputSlots();
     for (std::size_t i = 0; i < inSlots.size(); ++i)
         v[inSlots[i]] = i < inputs.size() ? inputs[i] : Ternary::X;
-    if (fault != nullptr && fault->afterInstr == CompiledNetlist::kFaultAtInputs)
+    if (fault != nullptr && fault->afterInstr == kFaultAtInputs)
         v[fault->slot] = ternaryOf(fault->stuckTo);
 
     const std::span<const Instr> instrs = compiled.instructions();
@@ -152,7 +152,7 @@ std::vector<bool> cannotDeviate(const CompiledNetlist& compiled,
         std::fill(cone.begin(), cone.end(), false);
         cone[site.slot] = true;
         const std::uint32_t start =
-            site.afterInstr == CompiledNetlist::kFaultAtInputs ? 0 : site.afterInstr + 1;
+            site.afterInstr == kFaultAtInputs ? 0 : site.afterInstr + 1;
         bool anyOutputInCone = false;
         for (std::uint32_t i = start; i < instrs.size(); ++i) {
             const Instr& ins = instrs[i];

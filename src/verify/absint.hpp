@@ -45,10 +45,16 @@ std::vector<Ternary> absEvalNetlist(const circuit::Netlist& netlist,
 std::vector<Ternary> absEvalProgram(const circuit::CompiledNetlist& compiled,
                                     std::span<const Ternary> inputs = {});
 
+/// `afterInstr` of a fault on a primary-input slot: the plane is forced
+/// after the input stage, before the first instruction.  Shared with
+/// `fault::FaultSite`, whose sites the fault engine hands over as
+/// `StuckSite`s.
+inline constexpr std::uint32_t kFaultAtInputs = 0xFFFFFFFFu;
+
 /// One stuck-at fault location in compiled-program coordinates (the
-/// abstract mirror of `CompiledNetlist::InjectedFault`): plane `slot` is
-/// forced to `stuckTo` after instruction `afterInstr`, or after the input
-/// stage when `afterInstr == CompiledNetlist::kFaultAtInputs`.
+/// abstract mirror of `fault::FaultSite`): plane `slot` is forced to
+/// `stuckTo` after instruction `afterInstr`, or after the input stage when
+/// `afterInstr == kFaultAtInputs`.
 struct StuckSite {
     std::uint32_t slot = 0;
     std::uint32_t afterInstr = 0;

@@ -41,9 +41,8 @@ Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
 }
 
 /// Exhaustively cross-checks BatchSimulator (blockLanes()-lane blocks,
-/// pruned compile) against
-/// Simulator::evaluateScalar (all-nodes compile) over the full input space
-/// of the netlist.
+/// pruned compile) against the reference interpreter's
+/// Simulator::evaluateScalar over the full input space of the netlist.
 void crossCheckExhaustive(const Netlist& net) {
     const int totalBits = static_cast<int>(net.inputCount());
     ASSERT_LE(totalBits, 12);
@@ -143,62 +142,30 @@ TEST(BatchSimulator, ShapeChecks) {
     EXPECT_THROW(sim.evaluate(in, badOut), std::invalid_argument);
 }
 
-TEST(FillExhaustiveBlock, W1AndBlockWidthAgainstScalarBitReference) {
+TEST(FillExhaustiveBlock, MatchesScalarBitReference) {
     // Scalar reference: bit `bit` of lane L must equal bit `bit` of the
-    // enumerated index (base + L).  Checked for W=1 (no word-index bits)
-    // and W=16 (pattern bits 0..5, word-index bits 6..9, base bits 10+) over
-    // every bit class and several bases.
-    const auto check = [](auto widthTag, int totalBits, std::uint64_t base) {
-        constexpr std::size_t W = decltype(widthTag)::value;
+    // enumerated index (base + L), over every bit class (pattern bits
+    // 0..5, word-index bits 6..9, base bits 10+) and several bases.
+    constexpr std::size_t W = CompiledNetlist::kBlockWords;
+    const auto check = [](int totalBits, std::uint64_t base) {
         std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
-        fillExhaustiveBlock<W>(in, totalBits, base);
+        fillExhaustiveBlock(in, totalBits, base);
         for (std::uint64_t lane = 0; lane < W * 64; ++lane) {
             const std::uint64_t index = base + lane;
             for (int bit = 0; bit < totalBits; ++bit) {
                 const std::uint64_t got =
                     (in[static_cast<std::size_t>(bit) * W + lane / 64] >> (lane % 64)) & 1u;
                 ASSERT_EQ(got, (index >> bit) & 1u)
-                    << "W=" << W << " base=" << base << " lane=" << lane << " bit=" << bit;
+                    << "base=" << base << " lane=" << lane << " bit=" << bit;
             }
         }
     };
     for (const std::uint64_t base : {0ull, 1024ull, 64512ull}) {
-        check(std::integral_constant<std::size_t, CompiledNetlist::kBlockWords>{}, 16, base);
-        check(std::integral_constant<std::size_t, CompiledNetlist::kBlockWords>{}, 11, base);
+        check(16, base);
+        check(11, base);
     }
-    for (const std::uint64_t base : {0ull, 64ull, 960ull}) {
-        check(std::integral_constant<std::size_t, 1>{}, 10, base);
-        check(std::integral_constant<std::size_t, 1>{}, 7, base);
-    }
-}
-
-TEST(CompiledNetlist, RunW1MatchesWideRunOnRandomNetlists) {
-    // W single-word run<1> sweeps must reproduce one W-word wide sweep
-    // bitwise, on netlists covering every GateKind (and therefore, after
-    // fusion, every kernel opcode).
-    util::Rng rng(0x1441);
-    for (int trial = 0; trial < 10; ++trial) {
-        const Netlist net = randomNetlist(4 + static_cast<int>(rng.index(7)),
-                                          20 + static_cast<int>(rng.index(60)),
-                                          1 + static_cast<int>(rng.index(8)), rng);
-        const CompiledNetlist compiled = CompiledNetlist::compile(net);
-        const std::size_t W = compiled.blockWords();
-        std::vector<CompiledNetlist::Word> wideIn(net.inputCount() * W);
-        for (auto& w : wideIn) w = rng.uniformInt(0, ~std::uint64_t{0});
-        std::vector<CompiledNetlist::Word> wideOut(net.outputCount() * W);
-        BatchSimulator wide(compiled);  // owns the (aligned) wide workspace
-        wide.evaluate(wideIn, wideOut);
-
-        std::vector<CompiledNetlist::Word> ws(compiled.workspaceWords(1), 0);
-        compiled.initWorkspace(ws, 1);
-        std::vector<CompiledNetlist::Word> in(net.inputCount()), out(net.outputCount());
-        for (std::size_t w = 0; w < W; ++w) {
-            for (std::size_t i = 0; i < net.inputCount(); ++i) in[i] = wideIn[i * W + w];
-            compiled.run<1>(in.data(), out.data(), ws.data());
-            for (std::size_t o = 0; o < net.outputCount(); ++o)
-                ASSERT_EQ(out[o], wideOut[o * W + w]) << "word " << w << " output " << o;
-        }
-    }
+    check(7, 0);
+    check(10, 0);
 }
 
 /// FNV-1a over everything a compiled program is made of: the slot count,
@@ -302,7 +269,7 @@ TEST(FillExhaustiveBlock, LaneCarriesItsIndex) {
     const int totalBits = 12;
     std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
     const std::uint64_t base = 2048;  // multiple of the 1024-lane block
-    fillExhaustiveBlock<W>(in, totalBits, base);
+    fillExhaustiveBlock(in, totalBits, base);
     for (std::uint64_t lane = 0; lane < W * 64; ++lane) {
         std::uint64_t value = 0;
         for (int bit = 0; bit < totalBits; ++bit)

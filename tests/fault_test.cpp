@@ -1,6 +1,7 @@
-// Stuck-at fault-injection engine (src/fault): fault-injected runs vs the
-// scalar mutate-the-netlist oracle across every gate kind and backend,
-// site enumeration and equivalence collapsing, campaign determinism at any
+// Stuck-at fault-injection engine (src/fault): every campaign site, in
+// exhaustive and sampled mode, against the mutate-the-netlist oracle on the
+// reference interpreter across every gate kind and backend, site
+// enumeration and equivalence collapsing, campaign determinism at any
 // thread count and backend, cache integration (cold == warm), report
 // serialization, and the resilience objective in both search problems.
 
@@ -18,6 +19,7 @@
 #include "src/circuit/kernels.hpp"
 #include "src/circuit/netlist.hpp"
 #include "src/circuit/simulator.hpp"
+#include "src/error/accumulator.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/fault/fault.hpp"
 #include "src/gen/adders.hpp"
@@ -34,175 +36,49 @@ using circuit::CompiledNetlist;
 using circuit::GateKind;
 using circuit::Netlist;
 using Word = CompiledNetlist::Word;
-// Direct run/runWithFaults calls here use the block width.
-constexpr std::size_t kW = CompiledNetlist::kBlockWords;
 
-/// 64-byte-aligned caller-owned workspace for direct CompiledNetlist::run /
-/// runWithFaults calls (the kernels need only 8-byte alignment).
-struct Scratch {
-    explicit Scratch(const CompiledNetlist& c) : storage(c.workspaceWords(kW) + 8, 0) {
-        const std::size_t mis = reinterpret_cast<std::uintptr_t>(storage.data()) % 64;
-        ws = storage.data() + (mis ? (64 - mis) / sizeof(Word) : 0);
-        c.initWorkspace({ws, c.workspaceWords(kW)}, kW);
-    }
-    std::vector<Word> storage;
-    Word* ws = nullptr;
-};
-
-/// A netlist exercising every GateKind plus the peephole-fusion triggers
-/// (Xor3/And3/Or3 chains, the HalfAdd Xor+And pair, Mux, Maj, constants).
+/// A netlist holding every GateKind and triggering every fused opcode
+/// (Xor3/And3/Or3 chains, the HalfAdd Xor+And pair, MuxNotA/MuxNotB),
+/// with constants, shaped to `multiplierSignature(4)`: 8 inputs, 8 outputs.
 Netlist gateZoo() {
     Netlist net("gate_zoo");
     const auto a = net.addInput(), b = net.addInput(), c = net.addInput(), d = net.addInput();
+    const auto e = net.addInput(), f = net.addInput(), g = net.addInput(), h = net.addInput();
     const auto k0 = net.addConst(false), k1 = net.addConst(true);
     const auto nNot = net.addGate(GateKind::Not, a);
     const auto nBuf = net.addGate(GateKind::Buf, b);
-    const auto nAnd = net.addGate(GateKind::And, a, b);
-    const auto nOr = net.addGate(GateKind::Or, c, d);
-    const auto nXor = net.addGate(GateKind::Xor, a, c);
-    const auto nNand = net.addGate(GateKind::Nand, b, c);
+    const auto nAnd = net.addGate(GateKind::And, a, h);
+    const auto nOr = net.addGate(GateKind::Or, c, g);
+    const auto nXor = net.addGate(GateKind::Xor, d, f);
+    const auto nNand = net.addGate(GateKind::Nand, b, e);
     const auto nNor = net.addGate(GateKind::Nor, a, d);
-    const auto nXnor = net.addGate(GateKind::Xnor, b, d);
-    const auto nAndNot = net.addGate(GateKind::AndNot, a, c);
-    const auto nOrNot = net.addGate(GateKind::OrNot, b, c);
+    const auto nXnor = net.addGate(GateKind::Xnor, g, h);
+    const auto nAndNot = net.addGate(GateKind::AndNot, c, e);
+    const auto nOrNot = net.addGate(GateKind::OrNot, f, b);
     const auto nMux = net.addGate(GateKind::Mux, nAnd, nOr, nXor);
-    const auto nMaj = net.addGate(GateKind::Maj, a, b, c);
-    // Fusion bait: single-consumer 2-gate chains and the half-adder pair.
+    const auto nMaj = net.addGate(GateKind::Maj, e, f, g);
+    // Fusion bait: single-consumer 2-gate chains, the half-adder pair and
+    // inverted Mux data operands.
     const auto x3 = net.addGate(GateKind::Xor, net.addGate(GateKind::Xor, a, b), c);
-    const auto a3 = net.addGate(GateKind::And, net.addGate(GateKind::And, c, d), a);
-    const auto o3 = net.addGate(GateKind::Or, net.addGate(GateKind::Or, a, b), d);
-    const auto haS = net.addGate(GateKind::Xor, c, d);
-    const auto haC = net.addGate(GateKind::And, c, d);
-    const auto g = net.addGate(GateKind::And, nMaj, k1);
-    const auto h = net.addGate(GateKind::Or, nMux, k0);
-    for (const auto o : {nNot, nBuf, nNand, nNor, nXnor, nAndNot, nOrNot, x3, a3, o3, haS,
-                         haC, g, h})
+    const auto a3 = net.addGate(GateKind::And, net.addGate(GateKind::And, c, d), e);
+    const auto o3 = net.addGate(GateKind::Or, net.addGate(GateKind::Or, f, g), h);
+    const auto haS = net.addGate(GateKind::Xor, d, h);
+    const auto haC = net.addGate(GateKind::And, d, h);
+    const auto mA = net.addGate(GateKind::Mux, net.addGate(GateKind::Not, g), nNand, a);
+    const auto mB = net.addGate(GateKind::Mux, nNor, net.addGate(GateKind::Not, c), h);
+    const auto kA = net.addGate(GateKind::And, nMaj, k1);
+    const auto kO = net.addGate(GateKind::Or, nMux, k0);
+    for (const auto o : {nNot, nBuf, x3, a3, o3, net.addGate(GateKind::Maj, haS, haC, kA),
+                         net.addGate(GateKind::Mux, mA, mB, nXnor),
+                         net.addGate(GateKind::Maj, nAndNot, nOrNot, kO)})
         net.markOutput(o);
     return net;
-}
-
-std::vector<Word> runPlain(const CompiledNetlist& c, const std::vector<Word>& in) {
-    Scratch s(c);
-    std::vector<Word> out(c.outputCount() * kW);
-    c.run<kW>(in.data(), out.data(), s.ws);
-    return out;
-}
-
-std::vector<Word> runFaulty(const CompiledNetlist& c, const std::vector<Word>& in,
-                            std::span<const CompiledNetlist::InjectedFault> faults) {
-    Scratch s(c);
-    std::vector<Word> out(c.outputCount() * kW);
-    c.runWithFaults<kW>(in.data(), out.data(), s.ws, faults);
-    return out;
-}
-
-std::vector<Word> randomInputs(std::size_t inputs, std::uint64_t seed) {
-    util::Rng rng(seed);
-    std::vector<Word> in(inputs * kW);
-    for (Word& w : in) w = rng.uniformInt(0, ~std::uint64_t{0});
-    return in;
 }
 
 std::vector<std::uint8_t> serialized(const ResilienceReport& report) {
     util::ByteWriter out;
     report.serialize(out);
     return out.take();
-}
-
-TEST(FaultInjection, RunWithFaultsMatchesMutatedNetlistOracleAllBackends) {
-    // Every fault site, both polarities, full-block mask: the injected run
-    // must be bit-identical to compiling a mutated netlist with the node
-    // replaced by a constant — per backend, on the same random inputs.
-    const std::vector<Netlist> circuits = {gateZoo(), gen::truncatedMultiplier(6, 2)};
-    for (const circuit::kernels::Backend* backend : circuit::kernels::availableBackends()) {
-        circuit::kernels::ScopedBackendOverride override(backend);
-        for (const Netlist& net : circuits) {
-            const CompiledNetlist compiled = CompiledNetlist::compile(net);
-            const std::vector<Word> in = randomInputs(net.inputCount(), 0xFA017);
-            const SiteEnumeration en = enumerateFaultSites(compiled, /*includeInputFaults=*/true,
-                                                           /*collapseEquivalent=*/false);
-            ASSERT_GT(en.sites.size(), 0u);
-            for (const FaultSite& site : en.sites) {
-                CompiledNetlist::InjectedFault fault;
-                fault.afterInstr = site.afterInstr;
-                fault.slot = site.slot;
-                fault.stuckTo = site.stuckTo;
-                fault.mask.fill(~Word{0});
-                const std::vector<Word> got =
-                    runFaulty(compiled, in, std::span(&fault, 1));
-                const CompiledNetlist oracle =
-                    CompiledNetlist::compile(stuckAtNetlist(net, site.node, site.stuckTo));
-                const std::vector<Word> want = runPlain(oracle, in);
-                ASSERT_EQ(got, want)
-                    << net.name() << " node " << site.node << " sa" << site.stuckTo
-                    << " backend " << backend->name;
-            }
-        }
-    }
-}
-
-TEST(FaultInjection, LaneGroupMaskIsolatesFaultsPerWord) {
-    // The sampled campaign's packing: inputs replicated across every
-    // word, three different faults masked to words 1..3, word 0 clean.
-    // Each word of the output must match the corresponding oracle.
-    const Netlist net = gen::truncatedMultiplier(6, 2);
-    const CompiledNetlist compiled = CompiledNetlist::compile(net);
-    const SiteEnumeration en = enumerateFaultSites(compiled, true, false);
-    ASSERT_GE(en.sites.size(), 3u);
-    // Pick three sites spread over the enumeration (input + gate sites).
-    const std::array<const FaultSite*, 3> picks = {
-        &en.sites[0], &en.sites[en.sites.size() / 2], &en.sites[en.sites.size() - 1]};
-
-    util::Rng rng(0x5EED);
-    std::vector<Word> in(net.inputCount() * kW);
-    for (std::size_t bit = 0; bit < net.inputCount(); ++bit) {
-        const Word r = rng.uniformInt(0, ~std::uint64_t{0});
-        for (std::size_t w = 0; w < kW; ++w) in[bit * kW + w] = r;  // replicated
-    }
-
-    std::vector<CompiledNetlist::InjectedFault> faults(3);
-    for (std::size_t j = 0; j < 3; ++j) {
-        faults[j].afterInstr = picks[j]->afterInstr;
-        faults[j].slot = picks[j]->slot;
-        faults[j].stuckTo = picks[j]->stuckTo;
-        faults[j].mask = {};
-        faults[j].mask[j + 1] = ~Word{0};
-    }
-    std::sort(faults.begin(), faults.end(), [](const auto& a, const auto& b) {
-        const auto rank = [](std::uint32_t v) {
-            return v == CompiledNetlist::kFaultAtInputs ? std::uint64_t{0}
-                                                        : std::uint64_t{v} + 1;
-        };
-        return rank(a.afterInstr) < rank(b.afterInstr);
-    });
-    const std::vector<Word> packed = runFaulty(compiled, in, faults);
-    const std::vector<Word> clean = runPlain(compiled, in);
-
-    for (std::size_t o = 0; o < compiled.outputCount(); ++o)
-        EXPECT_EQ(packed[o * kW + 0], clean[o * kW + 0]);  // reference word untouched
-    for (std::size_t j = 0; j < 3; ++j) {
-        // Map back from the sorted fault list to its word group.
-        const std::size_t word = [&] {
-            for (std::size_t w = 0; w < 3; ++w)
-                if (faults[w].mask[j + 1] != 0) return j + 1;
-            return j + 1;
-        }();
-        const CompiledNetlist::InjectedFault& f = faults[j];
-        // Full-mask single-fault run: with replicated inputs every word
-        // carries the faulted circuit, so word 0 is the oracle word.
-        CompiledNetlist::InjectedFault solo = f;
-        solo.mask.fill(~Word{0});
-        const std::vector<Word> oracle = runFaulty(compiled, in, std::span(&solo, 1));
-        const std::size_t faultWord = [&] {
-            for (std::size_t w = 1; w < kW; ++w)
-                if (f.mask[w] != 0) return w;
-            return std::size_t{0};
-        }();
-        (void)word;
-        for (std::size_t o = 0; o < compiled.outputCount(); ++o)
-            EXPECT_EQ(packed[o * kW + faultWord], oracle[o * kW + 0])
-                << "output " << o << " fault word " << faultWord;
-    }
 }
 
 TEST(FaultSites, EnumerationOrderAndCollapsing) {
@@ -261,8 +137,8 @@ TEST(FaultCampaign, ExhaustiveMatchesScalarSimulatorOracle) {
 
     circuit::Simulator cleanSim(net);
     for (const FaultImpact& impact : report.faults) {
-        // Simulator keeps a reference to its netlist: the mutated copy must
-        // outlive it (a temporary here is a use-after-scope).
+        // Simulator keeps a reference to its netlist (a temporary does not
+        // compile), so the mutated copy is named.
         const Netlist faultyNet = stuckAtNetlist(net, impact.site.node, impact.site.stuckTo);
         circuit::Simulator faultySim(faultyNet);
         std::uint64_t deviated = 0, errs = 0, worst = 0;
@@ -289,6 +165,129 @@ TEST(FaultCampaign, ExhaustiveMatchesScalarSimulatorOracle) {
     // The fault-free reference profile of an exact multiplier is clean.
     EXPECT_EQ(report.nominal.errorProbability, 0.0);
     EXPECT_EQ(report.faultCoverage > 0.0, true);
+}
+
+/// Lane values (one integer per lane, bit i = output i) of a 64-lane
+/// interpreter sweep.
+std::array<std::uint64_t, 64> laneValues(const std::vector<Word>& outWords) {
+    std::array<std::uint64_t, 64> values{};
+    for (std::size_t bit = 0; bit < outWords.size(); ++bit)
+        for (std::size_t lane = 0; lane < 64; ++lane)
+            values[lane] |= ((outWords[bit] >> lane) & 1u) << bit;
+    return values;
+}
+
+TEST(FaultCampaign, EverySiteMatchesStuckAtNetlistOracleAllBackends) {
+    // Every uncollapsed, unskipped site of a netlist holding every gate
+    // kind and fused opcode, in exhaustive and in forced-sampled mode (two
+    // blocks, a partial last batch), on every backend: the campaign's
+    // per-fault deviation, worst case, error probability and vector count
+    // must equal the interpreter's sweep of the mutated netlist over the
+    // same vectors — all 256 inputs, or the 64-lane batches regenerated
+    // from mixSeed(seed + batch).
+    const Netlist net = gateZoo();
+    const circuit::ArithSignature sig = gen::multiplierSignature(4);
+    for (const GateKind kind :
+         {GateKind::Const0, GateKind::Const1, GateKind::Buf, GateKind::Not, GateKind::And,
+          GateKind::Or, GateKind::Xor, GateKind::Nand, GateKind::Nor, GateKind::Xnor,
+          GateKind::AndNot, GateKind::OrNot, GateKind::Mux, GateKind::Maj})
+        EXPECT_TRUE(std::any_of(net.nodes().begin(), net.nodes().end(),
+                                [&](const circuit::Node& n) { return n.kind == kind; }))
+            << gateKindName(kind);
+    using circuit::kernels::OpCode;
+    const CompiledNetlist compiled = CompiledNetlist::compile(net);
+    for (const OpCode op : {OpCode::Xor3, OpCode::And3, OpCode::Or3, OpCode::HalfAdd,
+                            OpCode::MuxNotA, OpCode::MuxNotB})
+        EXPECT_TRUE(std::any_of(compiled.instructions().begin(), compiled.instructions().end(),
+                                [&](const circuit::kernels::Instr& i) { return i.op == op; }))
+            << circuit::kernels::opCodeName(op);
+
+    for (const bool exhaustive : {true, false}) {
+        CampaignConfig config;
+        config.collapseEquivalent = false;
+        config.staticSkip = false;
+        if (!exhaustive) {
+            config.analysis.exhaustiveLimit = 1;
+            config.analysis.sampleCount = 1024 + 700;
+        }
+        const std::uint64_t vectors = exhaustive ? 256 : config.analysis.sampleCount;
+        // The evaluated vectors as 64-lane input blocks.
+        std::vector<std::vector<Word>> blocks;
+        for (std::uint64_t batch = 0; batch * 64 < vectors; ++batch) {
+            std::vector<Word> in(net.inputCount());
+            util::Rng rng(error::detail::mixSeed(config.analysis.seed + batch));
+            for (std::size_t bit = 0; bit < in.size(); ++bit) {
+                if (!exhaustive) {
+                    in[bit] = rng.uniformInt(0, ~std::uint64_t{0});
+                    continue;
+                }
+                for (std::uint64_t lane = 0; lane < 64; ++lane)
+                    in[bit] |= (((batch * 64 + lane) >> bit) & 1u) << lane;
+            }
+            blocks.push_back(std::move(in));
+        }
+        const auto sweep = [&](const Netlist& circuit) {
+            circuit::Simulator sim(circuit);
+            std::vector<std::array<std::uint64_t, 64>> lanes;
+            std::vector<Word> out(circuit.outputCount());
+            for (const std::vector<Word>& in : blocks) {
+                sim.evaluate(in, out);
+                lanes.push_back(laneValues(out));
+            }
+            return lanes;
+        };
+        const auto clean = sweep(net);
+
+        for (const circuit::kernels::Backend* backend : circuit::kernels::availableBackends()) {
+            circuit::kernels::ScopedBackendOverride override(backend);
+            const ResilienceReport report = analyzeResilience(net, sig, config);
+            ASSERT_EQ(report.exhaustive, exhaustive);
+            ASSERT_EQ(report.faults.size(),
+                      enumerateFaultSites(compiled, true, false).sites.size());
+            for (const FaultImpact& impact : report.faults) {
+                const Netlist faultyNet =
+                    stuckAtNetlist(net, impact.site.node, impact.site.stuckTo);
+                const auto faulty = sweep(faultyNet);
+                std::uint64_t deviated = 0, errs = 0, worst = 0;
+                for (std::uint64_t v = 0; v < vectors; ++v) {
+                    const std::uint64_t got = faulty[v / 64][v % 64];
+                    deviated += got != clean[v / 64][v % 64];
+                    std::uint64_t a = 0, b = 0;
+                    for (int bit = 0; bit < 4; ++bit) {
+                        a |= ((blocks[v / 64][bit] >> (v % 64)) & 1u) << bit;
+                        b |= ((blocks[v / 64][4 + bit] >> (v % 64)) & 1u) << bit;
+                    }
+                    const std::uint64_t exact = sig.exact(a, b);
+                    const std::uint64_t diff = got > exact ? got - exact : exact - got;
+                    errs += diff != 0;
+                    worst = std::max(worst, diff);
+                }
+                const std::string where = std::string(backend->name) +
+                                          (exhaustive ? " exhaustive" : " sampled") + " node " +
+                                          std::to_string(impact.site.node) + " sa" +
+                                          std::to_string(impact.site.stuckTo);
+                EXPECT_EQ(impact.deviatedVectors, deviated) << where;
+                EXPECT_EQ(impact.error.worstCaseError, static_cast<double>(worst)) << where;
+                EXPECT_EQ(impact.error.errorProbability,
+                          static_cast<double>(errs) / static_cast<double>(vectors))
+                    << where;
+                EXPECT_EQ(impact.error.vectorsEvaluated, vectors) << where;
+            }
+        }
+    }
+}
+
+TEST(FaultCampaign, SampledCampaignWithoutSamplesRejected) {
+    // A sampled campaign over no vectors would report every fault harmless.
+    CampaignConfig config;
+    config.analysis.sampleCount = 0;
+    EXPECT_THROW(analyzeResilience(gen::truncatedAdder(16, 15), gen::adderSignature(16), config),
+                 std::invalid_argument);
+    // Exhaustive campaigns ignore the sample count.
+    const ResilienceReport exhaustive = analyzeResilience(
+        gen::truncatedMultiplier(4, 2), gen::multiplierSignature(4), config);
+    EXPECT_TRUE(exhaustive.exhaustive);
+    EXPECT_EQ(exhaustive.vectorsPerFault, 256u);
 }
 
 TEST(FaultCampaign, CollapsingPreservesAggregateMetrics) {

@@ -167,29 +167,42 @@ TEST(KernelBackends, RunsBitIdenticalAcrossBackends) {
     }
 }
 
-TEST(KernelBackends, NarrowPathBitIdenticalAcrossBackends) {
-    // run<1> (Simulator / activity estimation path), all nodes preserved.
+TEST(KernelBackends, UnprunedProgramBitIdenticalAcrossBackends) {
+    // The unpruned program (every node kept, slot == node id; what the
+    // toggle-rate estimator reads) at block width: every node value of
+    // every word must match the reference interpreter on every backend.
     util::Rng rng(0xA11);
     const Netlist net = randomNetlist(8, 60, 6, rng);
-    CompiledNetlist::Options options;
-    options.pruneDead = false;
-    const CompiledNetlist reference = CompiledNetlist::compile(net, options);
-    std::vector<CompiledNetlist::Word> in(net.inputCount());
+    std::vector<CompiledNetlist::Word> in(net.inputCount() * kernels::kBlockWords);
     for (std::size_t i = 0; i < in.size(); ++i) in[i] = 0x9E3779B97F4A7C15ull * (i + 1);
-    std::vector<CompiledNetlist::Word> refOut(net.outputCount());
-    std::vector<CompiledNetlist::Word> refWs(reference.workspaceWords(1), 0);
-    reference.initWorkspace(refWs, 1);
-    reference.run<1>(in.data(), refOut.data(), refWs.data());
+    std::vector<std::vector<CompiledNetlist::Word>> nodeWords(kernels::kBlockWords);
+    Simulator reference(net);
+    std::vector<CompiledNetlist::Word> wordIn(net.inputCount()), wordOut(net.outputCount());
+    for (std::size_t w = 0; w < kernels::kBlockWords; ++w) {
+        for (std::size_t i = 0; i < net.inputCount(); ++i)
+            wordIn[i] = in[i * kernels::kBlockWords + w];
+        reference.evaluate(wordIn, wordOut);
+        nodeWords[w].assign(reference.nodeValues().begin(), reference.nodeValues().end());
+    }
     for (const kernels::Backend* backend : kernels::availableBackends()) {
-        CompiledNetlist::Options o = options;
-        o.backend = backend;
-        const CompiledNetlist compiled = CompiledNetlist::compile(net, o);
-        std::vector<CompiledNetlist::Word> out(net.outputCount());
-        std::vector<CompiledNetlist::Word> ws(compiled.workspaceWords(1), 0);
-        compiled.initWorkspace(ws, 1);
-        compiled.run<1>(in.data(), out.data(), ws.data());
-        EXPECT_EQ(out, refOut) << backend->name;
-        EXPECT_EQ(ws, refWs) << backend->name;  // every node value identical
+        CompiledNetlist::Options options;
+        options.pruneDead = false;
+        options.backend = backend;
+        const CompiledNetlist compiled = CompiledNetlist::compile(net, options);
+        ASSERT_TRUE(compiled.preservesAllNodes());
+        BatchSimulator sim(compiled);
+        std::vector<CompiledNetlist::Word> out(net.outputCount() * kernels::kBlockWords);
+        sim.evaluate(in, out);
+        const std::span<const CompiledNetlist::Word> ws = sim.workspace();
+        for (std::size_t node = 0; node < net.nodeCount(); ++node)
+            for (std::size_t w = 0; w < kernels::kBlockWords; ++w)
+                ASSERT_EQ(ws[node * kernels::kBlockWords + w], nodeWords[w][node])
+                    << backend->name << " node " << node << " word " << w;
+        for (std::size_t o = 0; o < net.outputCount(); ++o)
+            for (std::size_t w = 0; w < kernels::kBlockWords; ++w)
+                ASSERT_EQ(out[o * kernels::kBlockWords + w],
+                          nodeWords[w][net.outputs()[o]])
+                    << backend->name << " output " << o << " word " << w;
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <set>
+#include <type_traits>
 
 #include "src/circuit/simulator.hpp"
 #include "src/gen/library.hpp"
@@ -107,6 +108,14 @@ TEST(Simulator, NodeValuesExposed) {
     EXPECT_EQ(sim.nodeValues()[g], ~0xFFull);
 }
 
+// Both keep a reference to their netlist, so a temporary must not bind.
+static_assert(std::is_constructible_v<Simulator, const Netlist&>);
+static_assert(!std::is_constructible_v<Simulator, Netlist>);
+static_assert(!std::is_constructible_v<Simulator, const Netlist>);
+static_assert(std::is_constructible_v<ActivityCounter, const Netlist&>);
+static_assert(!std::is_constructible_v<ActivityCounter, Netlist>);
+static_assert(!std::is_constructible_v<ActivityCounter, const Netlist>);
+
 TEST(ActivityCounter, ConstantNodesNeverToggle) {
     Netlist net;
     const NodeId a = net.addInput();
@@ -133,6 +142,29 @@ TEST(ActivityCounter, NeedsTwoBlocks) {
     EXPECT_EQ(counter.toggleRates()[0], 0.0);
 }
 
+/// Random DAG over the full gate alphabet, constants included; every node
+/// that no output reads is dead logic.
+Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
+    static constexpr GateKind kAllKinds[] = {
+        GateKind::Const0, GateKind::Const1, GateKind::Buf,    GateKind::Not,
+        GateKind::And,    GateKind::Or,     GateKind::Xor,    GateKind::Nand,
+        GateKind::Nor,    GateKind::Xnor,   GateKind::AndNot, GateKind::OrNot,
+        GateKind::Mux,    GateKind::Maj};
+    Netlist net("random");
+    for (int i = 0; i < inputs; ++i) net.addInput();
+    for (int g = 0; g < gates; ++g) {
+        const GateKind kind = kAllKinds[rng.index(std::size(kAllKinds))];
+        const auto pick = [&] { return static_cast<NodeId>(rng.index(net.nodeCount())); };
+        if (kind == GateKind::Const0 || kind == GateKind::Const1)
+            net.addConst(kind == GateKind::Const1);
+        else
+            net.addGate(kind, pick(), pick(), pick());
+    }
+    for (int o = 0; o < outputs; ++o)
+        net.markOutput(static_cast<NodeId>(rng.index(net.nodeCount())));
+    return net;
+}
+
 TEST(EstimateToggleRates, MatchesSerialActivityCounter) {
     // The chunk-parallel estimator must equal an ActivityCounter fed the
     // same addressable per-block stimuli, bit for bit.
@@ -157,6 +189,30 @@ TEST(EstimateToggleRates, MatchesSerialActivityCounter) {
         EXPECT_EQ(serial[i], estimated[i]) << "node " << i;
 }
 
+TEST(EstimateToggleRates, MatchesActivityCounterAcrossRuns) {
+    // The estimator (compiled program, 16 blocks per run) must equal an
+    // ActivityCounter (reference interpreter) fed the same addressable
+    // per-block stimuli, bit for bit, on a random DAG with constants and
+    // dead nodes, at block counts inside one run, on a run boundary and
+    // across several runs.
+    util::Rng rng(0xAC71);
+    const Netlist net = randomNetlist(6, 60, 4, rng);
+    constexpr std::uint64_t kSeed = 0xAC71;
+    for (const int blocks : {2, 15, 16, 17, 24, 31, 46, 47}) {
+        ActivityCounter counter(net);
+        std::vector<Simulator::Word> block(net.inputCount());
+        for (int i = 0; i < blocks; ++i) {
+            fillActivityBlock(kSeed, static_cast<std::uint64_t>(i), block);
+            counter.accumulate(block);
+        }
+        const std::vector<double> serial = counter.toggleRates();
+        const std::vector<double> estimated = estimateToggleRates(net, kSeed, blocks);
+        ASSERT_EQ(serial.size(), estimated.size());
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            EXPECT_EQ(serial[i], estimated[i]) << "node " << i << " blocks " << blocks;
+    }
+}
+
 TEST(EstimateToggleRates, ThreadCountInvariant) {
     const Netlist net = [] {
         Netlist n;
@@ -175,29 +231,6 @@ TEST(EstimateToggleRates, ThreadCountInvariant) {
     const std::vector<double> many = estimateToggleRates(net, 0x7AB, 41, &parallel);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], many[i]) << "node " << i;
-}
-
-/// Random DAG over the full gate alphabet, constants included; every node
-/// that no output reads is dead logic.
-Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
-    static constexpr GateKind kAllKinds[] = {
-        GateKind::Const0, GateKind::Const1, GateKind::Buf,    GateKind::Not,
-        GateKind::And,    GateKind::Or,     GateKind::Xor,    GateKind::Nand,
-        GateKind::Nor,    GateKind::Xnor,   GateKind::AndNot, GateKind::OrNot,
-        GateKind::Mux,    GateKind::Maj};
-    Netlist net("random");
-    for (int i = 0; i < inputs; ++i) net.addInput();
-    for (int g = 0; g < gates; ++g) {
-        const GateKind kind = kAllKinds[rng.index(std::size(kAllKinds))];
-        const auto pick = [&] { return static_cast<NodeId>(rng.index(net.nodeCount())); };
-        if (kind == GateKind::Const0 || kind == GateKind::Const1)
-            net.addConst(kind == GateKind::Const1);
-        else
-            net.addGate(kind, pick(), pick(), pick());
-    }
-    for (int o = 0; o < outputs; ++o)
-        net.markOutput(static_cast<NodeId>(rng.index(net.nodeCount())));
-    return net;
 }
 
 TEST(EstimateToggleRates, MatchesGoldenDigest) {

@@ -456,7 +456,7 @@ TEST(VerifyAbsInt, StaticSkipKeepsReportsBitIdentical) {
 }
 
 TEST(VerifyAbsInt, StaticSkipBitIdenticalWhenSampled) {
-    // 9x9 exceeds the default exhaustive limit -> sampled lane-group path.
+    // 9x9 exceeds the default exhaustive limit -> sampled campaign.
     const Netlist net = gen::truncatedMultiplier(9, 5);
     const circuit::ArithSignature sig{circuit::ArithOp::Multiplier, 9, 9};
     fault::CampaignConfig on, off;
