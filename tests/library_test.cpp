@@ -7,6 +7,7 @@
 #include "src/error/error_metrics.hpp"
 #include "src/gen/library.hpp"
 #include "src/util/bytes.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace axf::gen {
 namespace {
@@ -146,6 +147,55 @@ TEST(Library, DeterministicBuilds) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i].netlist.structuralHash(), b[i].netlist.structuralHash());
+}
+
+/// FNV-1a over every entry of `library` in order: name, origin,
+/// structural hash and the report's serialized fields.
+void digestLibrary(std::uint64_t& h, const AcLibrary& library) {
+    const auto mixByte = [&h](std::uint8_t byte) { h = (h ^ byte) * 0x100000001B3ull; };
+    const auto mixString = [&](const std::string& s) {
+        for (const char ch : s) mixByte(static_cast<std::uint8_t>(ch));
+        mixByte(0);
+    };
+    for (const LibraryCircuit& entry : library) {
+        mixString(entry.name);
+        mixString(entry.origin);
+        const std::uint64_t hash = entry.netlist.structuralHash();
+        for (int byte = 0; byte < 8; ++byte) mixByte(static_cast<std::uint8_t>(hash >> (8 * byte)));
+        for (const std::uint8_t byte : reportBits(entry.error)) mixByte(byte);
+    }
+}
+
+TEST(Library, MatchesGoldenDigest) {
+    // Pins what a build outputs, not only that builds agree with each
+    // other: the full 8-bit adder and multiplier libraries (two MED
+    // budgets, 10 CGP generations) and the 16-bit structural families
+    // (sampled reports).  Built once in the serial schedule (inline on a
+    // one-worker pool, where every nested parallelFor runs inline) and
+    // once on the global pool with the analyses capped at 4 threads.
+    const auto digestBuilds = [](int threads) {
+        std::uint64_t h = 0xCBF29CE484222325ull;
+        for (const circuit::ArithOp op : {circuit::ArithOp::Adder, circuit::ArithOp::Multiplier}) {
+            LibraryConfig cfg;
+            cfg.op = op;
+            cfg.width = 8;
+            cfg.medBudgets = {0.001, 0.01};
+            cfg.cgpGenerations = 10;
+            cfg.errorConfig.threads = threads;
+            digestLibrary(h, buildLibrary(cfg));
+            cfg.width = 16;
+            digestLibrary(h, buildStructuralFamilies(cfg));
+        }
+        return h;
+    };
+    constexpr std::uint64_t kGolden = 0xDF3355FEED02A5A5ull;
+    std::uint64_t serial = 0;
+    util::ThreadPool one(1);
+    one.submit([&] { serial = digestBuilds(1); });
+    one.wait();
+    EXPECT_EQ(serial, kGolden) << std::hex << "serial digest 0x" << serial;
+    const std::uint64_t pooled = digestBuilds(4);
+    EXPECT_EQ(pooled, kGolden) << std::hex << "pooled digest 0x" << pooled;
 }
 
 TEST(Library, SignatureHelper) {
