@@ -23,6 +23,7 @@
 #include "src/autoax/sobel.hpp"
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/simulator.hpp"
+#include "src/circuit/transform.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/fault/fault.hpp"
 #include "src/gen/adders.hpp"
@@ -174,6 +175,20 @@ static void BM_CompileCgpChild(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CompileCgpChild);
+
+/// `circuit::simplify` plus the structural hash of the same children: what
+/// a CGP run does to every parent it harvests before the library dedups
+/// it.  items_per_second = simplifications/sec.
+static void BM_SimplifyCgpChild(benchmark::State& state) {
+    const std::vector<circuit::Netlist>& children = cgpChildren16();
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const circuit::Netlist simplified = circuit::simplify(children[k++ % children.size()]);
+        benchmark::DoNotOptimize(simplified.structuralHash());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimplifyCgpChild);
 
 /// One CGP fitness evaluation: `ErrorAnalyzer::analyze` under the
 /// evolver's default fitness profile (8,192 sampled vectors, stimulus

@@ -103,9 +103,9 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
 
 /// Per-thread evaluation scratch: one rebindable simulator workspace per
 /// adder-tree node, the tree's operand bit-planes and one node's output
-/// planes.  Rebinding to the node's program is free when consecutive
-/// configs agree on it, so a workspace held across a batch amortizes to
-/// zero setup.
+/// planes.  Rebinding reuses the allocation and rewrites only the
+/// program's constant slots, so a workspace held across a batch
+/// amortizes to near-zero setup.
 struct GaussianAccelerator::WorkspaceImpl : AcceleratorModel::Workspace {
     std::vector<BatchSimulator> sims;  ///< one per adder-tree node, lazily built
     /// 16 operands of 16 planes each, ordered so that node n reads its A|B

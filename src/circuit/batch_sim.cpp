@@ -550,13 +550,18 @@ void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
 }
 
 void BatchSimulator::rebind(const CompiledNetlist& compiled) {
-    if (compiled_ == &compiled) return;  // constants already in place
     compiled_ = &compiled;
     const std::size_t needed = compiled.workspaceWords() + kAlignWords;
-    if (storage_.size() < needed) storage_.assign(needed, 0);
-    const std::size_t misalign =
-        reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
-    workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
+    if (storage_ == nullptr || capacity_ < needed) {  // null: moved from
+        storage_ = std::make_unique_for_overwrite<Word[]>(needed);
+        capacity_ = needed;
+        // 128-byte-align the workspace: slots are 128-byte regions, and a
+        // lesser-aligned base would make them straddle cache lines (split
+        // vector loads/stores on every gate).
+        const std::size_t misalign =
+            reinterpret_cast<std::uintptr_t>(storage_.get()) % (kAlignWords * sizeof(Word));
+        workspace_ = storage_.get() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
+    }
     compiled.initWorkspace(workspace());
 }
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -153,16 +154,7 @@ public:
     static constexpr std::size_t kBlockWords = CompiledNetlist::kBlockWords;
     static constexpr std::size_t kBlockLanes = CompiledNetlist::kBlockLanes;
 
-    explicit BatchSimulator(const CompiledNetlist& compiled)
-        : compiled_(&compiled), storage_(compiled.workspaceWords() + kAlignWords, 0) {
-        // 128-byte-align the workspace: slots are 128-byte regions, and a
-        // lesser-aligned base would make them straddle cache lines (split
-        // vector loads/stores on every gate).
-        std::size_t misalign =
-            reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
-        workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-        compiled.initWorkspace(workspace());
-    }
+    explicit BatchSimulator(const CompiledNetlist& compiled) { rebind(compiled); }
 
     // The aligned view points into storage_: moves keep it valid (the heap
     // buffer does not move), copies would not.
@@ -180,11 +172,14 @@ public:
     /// receives `outputCount() * blockWords()` words output-major.
     void evaluate(std::span<const Word> inputWords, std::span<Word> outputWords);
 
-    /// Rebinds this workspace to a different compiled program, reusing the
-    /// existing allocation whenever it is large enough.  This is the
-    /// workspace-reuse hook for evaluation loops that sweep many programs
-    /// (e.g. one accelerator config after another) with one per-thread
-    /// scratch: rebinding to the program already bound is free.
+    /// Binds this workspace to `compiled`, reusing the existing allocation
+    /// whenever it is large enough.  This is the workspace-reuse hook for
+    /// evaluation loops that sweep many programs (e.g. one accelerator
+    /// config after another) with one per-thread scratch.  The workspace is
+    /// never zero-filled: `run` defines every operand plane before reading
+    /// it (verifier rule CP002), and every rebind rewrites the constants (a
+    /// program has few), since a program built where a destroyed one lived
+    /// has the same address but its own constants.
     void rebind(const CompiledNetlist& compiled);
 
     const CompiledNetlist& compiled() const { return *compiled_; }
@@ -199,8 +194,9 @@ public:
 private:
     static constexpr std::size_t kAlignWords = 16;  ///< 128 bytes
 
-    const CompiledNetlist* compiled_;
-    std::vector<Word> storage_;
+    const CompiledNetlist* compiled_ = nullptr;
+    std::unique_ptr<Word[]> storage_;  ///< uninitialized, `capacity_` words
+    std::size_t capacity_ = 0;
     Word* workspace_ = nullptr;  ///< 128-byte-aligned view into storage_
 };
 

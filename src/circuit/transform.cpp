@@ -1,7 +1,7 @@
 #include "src/circuit/transform.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 #include <utility>
 
 #include "src/verify/verify.hpp"
@@ -10,31 +10,16 @@ namespace axf::circuit {
 
 namespace {
 
-/// Packs a gate shape into a CSE key.
-struct GateKey {
-    GateKind kind;
-    NodeId a, b, c;
-    bool operator==(const GateKey&) const = default;
-};
-
-struct GateKeyHash {
-    std::size_t operator()(const GateKey& k) const {
-        std::uint64_t h = 1469598103934665603ull;
-        const auto mix = [&h](std::uint64_t v) {
-            h ^= v;
-            h *= 1099511628211ull;
-        };
-        mix(static_cast<std::uint64_t>(k.kind));
-        mix(k.a);
-        mix(k.b);
-        mix(k.c);
-        return static_cast<std::size_t>(h);
-    }
-};
-
 class Simplifier {
 public:
-    explicit Simplifier(const Netlist& src) : src_(src) {}
+    explicit Simplifier(const Netlist& src) : src_(src) {
+        // A source node emits at most two gates (Nand: And + Not; a Mux
+        // with a constant data input: Not + Or), so four slots per source
+        // node keep the CSE table at most half full.
+        const std::size_t slots = std::bit_ceil(std::max<std::size_t>(16, 4 * src.nodeCount()));
+        cse_.assign(slots, kInvalidNode);
+        cseMask_ = slots - 1;
+    }
 
     Netlist run() {
         map_.assign(src_.nodeCount(), kInvalidNode);
@@ -51,7 +36,11 @@ private:
     const Netlist& src_;
     Netlist dst_;
     std::vector<NodeId> map_;
-    std::unordered_map<GateKey, NodeId, GateKeyHash> cse_;
+    /// Structural-hashing CSE: open addressing with linear probing over
+    /// the ids of emitted gates (kInvalidNode = empty).  A slot's key is
+    /// the gate it names, read back from `dst_`.
+    std::vector<NodeId> cse_;
+    std::size_t cseMask_ = 0;
     NodeId const0_ = kInvalidNode;
     NodeId const1_ = kInvalidNode;
 
@@ -97,11 +86,14 @@ private:
             }
             default: break;
         }
-        const GateKey key{kind, a, b, c};
-        if (const auto it = cse_.find(key); it != cse_.end()) return it->second;
-        const NodeId id = dst_.addGate(kind, a, b, c);
-        cse_.emplace(key, id);
-        return id;
+        std::uint64_t h = (std::uint64_t{a} << 32 | b) * 0x9E3779B97F4A7C15ull;
+        h ^= (std::uint64_t{c} << 8 | static_cast<std::uint64_t>(kind)) * 0xC2B2AE3D27D4EB4Full;
+        for (std::size_t i = (h ^ h >> 32) & cseMask_;; i = (i + 1) & cseMask_) {
+            const NodeId id = cse_[i];
+            if (id == kInvalidNode) return cse_[i] = dst_.addGate(kind, a, b, c);
+            const Node& n = dst_.node(id);
+            if (n.kind == kind && n.a == a && n.b == b && n.c == c) return id;
+        }
     }
 
     NodeId rewrite(const Node& n) {

@@ -4,6 +4,8 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -76,6 +78,22 @@ void drawChunk(const circuit::ArithSignature& sig, std::uint64_t seed, std::uint
     }
 }
 
+/// One thread's evaluation scratch, held across every `analyze` task the
+/// thread runs: the simulator workspace, rebound to each task's program,
+/// and the block and decode buffers.  Both grow to the largest program and
+/// interface the thread has seen, so repeated calls allocate and zero-fill
+/// no workspace.  Tasks never nest on a thread (a task body runs no other
+/// pool work), so one scratch per thread suffices.
+struct TaskScratch {
+    std::optional<BatchSimulator> sim;
+    Workspace ws;
+};
+
+TaskScratch& taskScratch() {
+    thread_local const std::unique_ptr<TaskScratch> scratch = std::make_unique<TaskScratch>();
+    return *scratch;
+}
+
 }  // namespace
 
 std::string ErrorReport::summary() const {
@@ -120,8 +138,13 @@ ErrorReport ErrorAnalyzer::analyze(const circuit::Netlist& netlist) const {
 
     std::vector<Accumulator> parts(taskCount);
     const auto runTask = [&](std::size_t t) {
-        BatchSimulator sim(compiled);
-        Workspace ws;
+        TaskScratch& scratch = taskScratch();
+        if (scratch.sim)
+            scratch.sim->rebind(compiled);
+        else
+            scratch.sim.emplace(compiled);
+        BatchSimulator& sim = *scratch.sim;
+        Workspace& ws = scratch.ws;
         ws.in.resize(bits * kBlockWords);
         ws.out.resize(outputs * kBlockWords);
         const std::uint64_t firstChunk = static_cast<std::uint64_t>(t) * chunksPerTask;

@@ -1,6 +1,7 @@
 #include "src/gen/library.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <unordered_set>
@@ -56,11 +57,13 @@ void appendReported(AcLibrary& library, std::vector<PendingCircuit>& pending,
     for (PendingCircuit& p : pending) library.push_back(std::move(p.circuit));
 }
 
-/// Collects raw generator output, then characterizes it in a three-stage
-/// pipeline: parallel simplify+hash, ordered dedup, then the report stage
-/// (`appendReported`).  The dedup and append stages walk candidates in
-/// submission order, so the resulting library is identical to a
-/// fully-serial accumulation no matter how many workers run.
+/// Collects generator calls, then characterizes their output in a
+/// three-stage pipeline: parallel generate+simplify+hash, ordered dedup,
+/// then the report stage (`appendReported`).  Each candidate's raw netlist
+/// is built inside its own task and dropped once simplified, so the raw
+/// family is never all alive at once.  The dedup and append stages walk
+/// candidates in submission order, so the resulting library is identical
+/// to a fully-serial accumulation no matter how many workers run.
 ///
 /// With a characterization cache both parallel stages become
 /// content-addressed: simplified netlists are keyed by the raw netlist's
@@ -69,8 +72,8 @@ void appendReported(AcLibrary& library, std::vector<PendingCircuit>& pending,
 /// same bits, so warm builds are identical to cold ones.
 class CandidateSet {
 public:
-    void add(Netlist netlist, const std::string& origin) {
-        candidates_.push_back({std::move(netlist), origin});
+    void add(std::function<Netlist()> generate, const char* origin) {
+        candidates_.push_back({std::move(generate), origin});
     }
 
     void characterizeInto(AcLibrary& library, std::unordered_set<std::uint64_t>& seen,
@@ -86,14 +89,14 @@ public:
         util::ThreadPool::global().parallelFor(
             candidates_.size(),
             [&](std::size_t i) {
-                if (cache != nullptr && loadSimplified(*cache, candidates_[i].netlist,
-                                                       prepared[i].simplified, prepared[i].hash))
+                const Netlist raw = candidates_[i].generate();
+                if (cache != nullptr &&
+                    loadSimplified(*cache, raw, prepared[i].simplified, prepared[i].hash))
                     return;
-                prepared[i].simplified = circuit::simplify(candidates_[i].netlist);
+                prepared[i].simplified = circuit::simplify(raw);
                 prepared[i].hash = prepared[i].simplified.structuralHash();
                 if (cache != nullptr)
-                    storeSimplified(*cache, candidates_[i].netlist, prepared[i].simplified,
-                                    prepared[i].hash);
+                    storeSimplified(*cache, raw, prepared[i].simplified, prepared[i].hash);
             },
             0, cancel);
 
@@ -113,8 +116,8 @@ public:
 
 private:
     struct Candidate {
-        Netlist netlist;
-        std::string origin;
+        std::function<Netlist()> generate;
+        const char* origin;
     };
 
     /// Cached simplification via the cache's netlist interface (hash
@@ -145,36 +148,39 @@ private:
 };
 
 void addAdderFamilies(CandidateSet& acc, int n) {
-    acc.add(rippleCarryAdder(n), "exact_rca");
-    acc.add(carryLookaheadAdder(n), "exact_cla");
-    acc.add(carrySelectAdder(n, 2), "exact_csel");
-    acc.add(carrySelectAdder(n, 4), "exact_csel");
-    acc.add(koggeStoneAdder(n), "exact_ks");
+    acc.add([n] { return rippleCarryAdder(n); }, "exact_rca");
+    acc.add([n] { return carryLookaheadAdder(n); }, "exact_cla");
+    acc.add([n] { return carrySelectAdder(n, 2); }, "exact_csel");
+    acc.add([n] { return carrySelectAdder(n, 4); }, "exact_csel");
+    acc.add([n] { return koggeStoneAdder(n); }, "exact_ks");
     for (int k = 1; k < n; ++k) {
-        acc.add(loaAdder(n, k), "loa");
-        acc.add(truncatedAdder(n, k), "trunc");
-        acc.add(etaAdder(n, k), "eta");
+        acc.add([n, k] { return loaAdder(n, k); }, "loa");
+        acc.add([n, k] { return truncatedAdder(n, k); }, "trunc");
+        acc.add([n, k] { return etaAdder(n, k); }, "eta");
     }
-    for (int w = 1; w < n; ++w) acc.add(acaAdder(n, w), "aca");
+    for (int w = 1; w < n; ++w) acc.add([n, w] { return acaAdder(n, w); }, "aca");
     for (int r = 1; r <= n / 2; ++r)
-        for (int p = 0; p <= n / 2 && r + p <= n; p += 2) acc.add(gearAdder(n, r, p), "gear");
-    for (int blk = 1; blk < n; ++blk) acc.add(etaIIAdder(n, blk), "eta2");
+        for (int p = 0; p <= n / 2 && r + p <= n; p += 2)
+            acc.add([n, r, p] { return gearAdder(n, r, p); }, "gear");
+    for (int blk = 1; blk < n; ++blk) acc.add([n, blk] { return etaIIAdder(n, blk); }, "eta2");
     for (const ApproxFaKind kind : {ApproxFaKind::PassA, ApproxFaKind::OrSum,
                                     ApproxFaKind::XorNoCarry, ApproxFaKind::CarrySkip})
-        for (int k = 1; k < n; ++k) acc.add(approxCellAdder(n, k, kind), "afa");
+        for (int k = 1; k < n; ++k)
+            acc.add([n, k, kind] { return approxCellAdder(n, k, kind); }, "afa");
 }
 
 void addMultiplierFamilies(CandidateSet& acc, int n) {
-    acc.add(arrayMultiplier(n), "exact_array");
-    acc.add(wallaceMultiplier(n), "exact_wallace");
-    for (int t = 1; t <= n; ++t) acc.add(truncatedMultiplier(n, t), "trunc");
+    acc.add([n] { return arrayMultiplier(n); }, "exact_array");
+    acc.add([n] { return wallaceMultiplier(n); }, "exact_wallace");
+    for (int t = 1; t <= n; ++t) acc.add([n, t] { return truncatedMultiplier(n, t); }, "trunc");
     for (int h = 0; h <= n; h += 1)
         for (int v = 0; v <= n / 2; ++v)
-            if (h + v > 0) acc.add(brokenArrayMultiplier(n, h, v), "bam");
-    if ((n & (n - 1)) == 0) acc.add(kulkarniMultiplier(n), "kulkarni");
-    for (int c = 1; c <= n; ++c) acc.add(approxCompressorMultiplier(n, c), "cmp");
-    for (int k = 2; k < n; ++k) acc.add(drumMultiplier(n, k), "drum");
-    if (n >= 3) acc.add(mitchellMultiplier(n), "mitchell");
+            if (h + v > 0) acc.add([n, h, v] { return brokenArrayMultiplier(n, h, v); }, "bam");
+    if ((n & (n - 1)) == 0) acc.add([n] { return kulkarniMultiplier(n); }, "kulkarni");
+    for (int c = 1; c <= n; ++c)
+        acc.add([n, c] { return approxCompressorMultiplier(n, c); }, "cmp");
+    for (int k = 2; k < n; ++k) acc.add([n, k] { return drumMultiplier(n, k); }, "drum");
+    if (n >= 3) acc.add([n] { return mitchellMultiplier(n); }, "mitchell");
 }
 
 Netlist cgpSeed(const LibraryConfig& config, int which) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "src/circuit/batch_sim.hpp"
@@ -126,6 +127,42 @@ TEST(BatchSimulator, PruningDropsDeadCone) {
     EXPECT_EQ(full.instructionCount(), 3u);
     EXPECT_TRUE(full.preservesAllNodes());
     crossCheckExhaustive(net);
+}
+
+TEST(BatchSimulator, RebindInstallsConstantsOfProgramAtSameAddress) {
+    // A program compiled where a destroyed one lived has the same address
+    // but its own constants: rebinding to it must install them (And(x, 1)
+    // left its 1 in the slot where Or(x, 0) keeps its 0).
+    const auto withConstant = [](GateKind kind, bool value) {
+        Netlist net(gateKindName(kind));
+        const NodeId x = net.addInput();
+        net.markOutput(net.addGate(kind, x, net.addConst(value)));
+        return net;
+    };
+    const Netlist andOne = withConstant(GateKind::And, true);
+    const Netlist orZero = withConstant(GateKind::Or, false);
+    std::optional<CompiledNetlist> program(CompiledNetlist::compile(andOne));
+    BatchSimulator sim(*program);
+    util::Rng rng(0x5EB1);
+    const auto expectMatchesOracle = [&](const Netlist& net) {
+        Simulator oracle(net);
+        const std::size_t W = sim.blockWords();
+        std::vector<CompiledNetlist::Word> in(W), out(W);
+        for (CompiledNetlist::Word& w : in) w = rng.uniformInt(0, ~std::uint64_t{0});
+        sim.evaluate(in, out);
+        for (std::size_t w = 0; w < W; ++w) {
+            CompiledNetlist::Word expected = 0;
+            oracle.evaluate({&in[w], 1}, {&expected, 1});
+            ASSERT_EQ(out[w], expected) << net.name() << " word " << w;
+        }
+    };
+    sim.rebind(*program);
+    expectMatchesOracle(andOne);
+    const CompiledNetlist* const address = &*program;
+    program.emplace(CompiledNetlist::compile(orZero));
+    ASSERT_EQ(&*program, address);
+    sim.rebind(*program);
+    expectMatchesOracle(orZero);
 }
 
 TEST(BatchSimulator, ShapeChecks) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/circuit/transform.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/multipliers.hpp"
@@ -342,6 +343,32 @@ TEST(ErrorAnalyzer, ReuseMatchesPerCallAnalysisBitForBit) {
             c.nets.size(), [&](std::size_t i) { concurrent[i] = fresh.analyze(c.nets[i]); });
         for (std::size_t i = 0; i < c.nets.size(); ++i)
             expectBitIdentical(concurrent[i], reused[i]);
+    }
+}
+
+TEST(ErrorAnalyzer, SerialCallsBindTheirOwnProgram) {
+    // A serial analysis sweeps on the calling thread's reused scratch, and
+    // its compiled program, a local of `analyze`, lands at the same
+    // address on every call: each call must still install its own
+    // program's constants and workspace size.  Raw and simplified
+    // multipliers keep constant outputs in different slots and differ in
+    // size; the interpreter is the oracle.  Exhaustive 8x8 sums are
+    // integers, so every field but the relative error is exact on both.
+    ErrorAnalysisConfig serial;
+    serial.threads = 1;
+    const ArithSignature sig = multiplierSignature(8);
+    const ErrorAnalyzer analyzer(sig, serial);
+    for (const Netlist& raw : multipliers8()) {
+        for (const Netlist& net : {raw, circuit::simplify(raw)}) {
+            const ErrorReport engine = analyzer.analyze(net);
+            const ErrorReport oracle = analyzeErrorBaseline(net, sig, serial);
+            EXPECT_EQ(engine.med, oracle.med) << net.name();
+            EXPECT_EQ(engine.meanAbsoluteError, oracle.meanAbsoluteError) << net.name();
+            EXPECT_EQ(engine.meanSquaredError, oracle.meanSquaredError) << net.name();
+            EXPECT_EQ(engine.worstCaseError, oracle.worstCaseError) << net.name();
+            EXPECT_EQ(engine.errorProbability, oracle.errorProbability) << net.name();
+            EXPECT_EQ(engine.vectorsEvaluated, oracle.vectorsEvaluated) << net.name();
+        }
     }
 }
 
